@@ -1,10 +1,12 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json bench-json-ci bench-rp bench-rp-scaling bench-rp-json bench-gpu bench-gpu-json obs-gate
+.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host
 
-# The full local CI gate: what a PR must pass.
-ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json-ci bench-rp bench-rp-scaling bench-gpu obs-gate
+# The full local CI gate: what a PR must pass for correctness. The
+# performance gate is the pipeline's perfbench run (BENCHMARK.json,
+# perfbench/README.md), which compares parent and change on every PR.
+ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host
 
 # Formatting gate: fail (and list the offenders) if any file needs gofmt.
 fmt:
@@ -47,14 +49,14 @@ test-alert-race:
 
 # Control-plane gate: race-check the jobs package (queue hammering, the
 # checkpoint/resume chaos test, SSE streaming), then run the scenario
-# catalog through a real oneshot server with tracing on and hold the
-# queue-wait p95 to the committed BENCH_jobs.json budget.
+# catalog through a real oneshot server with tracing on and read the
+# resulting server trace back with obstool summary.
 test-jobs-race:
 	$(GO) test -race -count=1 ./internal/jobs/...
 	$(GO) run ./cmd/beamsim serve -http "" -oneshot \
 		-trace /tmp/jobs_gate_trace.jsonl \
 		-submit examples/scenarios/smooth-gaussian.json,examples/scenarios/halo-dominated.json,examples/scenarios/bunch-compression.json
-	$(GO) run ./cmd/obstool gate BENCH_jobs.json /tmp/jobs_gate_trace.jsonl
+	$(GO) run ./cmd/obstool summary /tmp/jobs_gate_trace.jsonl
 
 # Distributed-tracing gate: race-check the span-context paths (concurrent
 # scoped tracers hammering one tracer's ID counters and sink), then run a
@@ -84,17 +86,6 @@ bench-host:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictiveHostPhases' -benchtime 3x \
 		-benchmem ./internal/kernels
 
-# Refresh the committed BENCH_host.json at the canonical 128x128 size.
-bench-json:
-	$(GO) run ./cmd/benchhost -grid 128 -steps 3 -warmup 2 -workers 1,2,4 \
-		-out BENCH_host.json
-
-# CI variant: exercise the same measurement path on a small grid with a
-# throwaway output file, so ci cannot clobber the committed numbers.
-bench-json-ci:
-	$(GO) run ./cmd/benchhost -grid 32 -steps 2 -warmup 1 -workers 1,2 \
-		-out /tmp/BENCH_host_ci.json
-
 # Streaming replay engine race gate: the device fans SMs out as
 # goroutines with per-SM scratch, and the engine A/B matrices in gpusim,
 # kernels and fleet drive both engines across every interleaving-sensitive
@@ -103,67 +94,9 @@ test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
 	$(GO) test -race -count=1 -run 'Engine' ./internal/kernels/... ./internal/fleet/...
 
-# GPU replay-engine gate for CI: re-measure streaming vs oracle on a
-# small grid with a throwaway output file and enforce the speedup floor +
-# the zero-allocation contract. The fresh re-measurement uses a
-# noise-tolerant floor of 1.3 (a small grid on a shared machine swings
-# the ratio well below the committed 128x128 number); the committed
-# >= 2x floor is enforced deterministically by obs-gate's BENCH_gpu.json
-# self-checks.
-bench-gpu:
-	$(GO) run ./cmd/benchgpu -grid 48 -reps 3 -check \
-		-min-speedup 1.3 -out /tmp/bench_gpu_ci.json
-
-# Refresh the committed BENCH_gpu.json at the canonical 128x128 size.
-bench-gpu-json:
-	$(GO) run ./cmd/benchgpu -grid 128 -reps 7 -check -out BENCH_gpu.json
-
 # Tiled-dispatch race gate: the cache-blocked GridSolver fans tiles out
 # across the hostpar pool with per-worker evaluators and shared target
 # writes, so race-check the whole retard package (the A/B and determinism
 # tests drive the tiled path at several worker counts) on every PR.
 test-rp-race:
 	$(GO) test -race -count=1 ./internal/retard/...
-
-# rp-integral core gate for CI: measure the evaluator against the
-# seed-equivalent closure baseline on a small grid with a throwaway
-# output file and enforce the speedup floor + zero-allocation contract.
-# The fresh re-measurement uses a noise-tolerant floor of 5 (a small grid
-# on a shared machine jitters ~10% around the committed 6.3x, and a gate
-# that flakes gets deleted); the committed 128x128 floor of >= 6x is
-# enforced deterministically by obs-gate's BENCH_rp.json self-checks.
-bench-rp:
-	$(GO) run ./cmd/benchrp -grid 48 -reps 8 -workers 1 -check \
-		-min-speedup 5 -min-scaling 0 -out /tmp/bench_rp_ci.json
-
-# Worker-sweep scaling gate: run the full-grid solve at 1/2/4 workers
-# (un-pinned GOMAXPROCS, per-row gomaxprocs/num_cpu recorded) and enforce
-# the >= 1.6x efficiency floor at 4 workers. On machines with fewer cores
-# than workers the scaling check reports SKIPPED rather than gating on
-# timeshared noise — the committed BENCH_rp.json still carries the floor.
-bench-rp-scaling:
-	$(GO) run ./cmd/benchrp -grid 48 -reps 8 -workers 1,2,4 -check \
-		-min-speedup 5 -min-scaling 1.6 -scaling-workers 4 \
-		-out /tmp/bench_rp_scaling_ci.json
-
-# Refresh the committed BENCH_rp.json at the canonical 128x128 size.
-bench-rp-json:
-	$(GO) run ./cmd/benchrp -grid 128 -reps 10 -workers 1,2,4 \
-		-out BENCH_rp.json
-
-# Perf regression gate: trace short deterministic predictive and host
-# reference runs, then check them against the committed budgets —
-# BENCH_host.json (per-phase host costs) and BENCH_rp.json (reference
-# solver per-step cost) — via obstool (exit 1 on regression). The runs
-# use 32x32 grids against the baselines' 128x128 budgets, so the gate
-# only trips on order-of-magnitude hot-path regressions, never on
-# machine noise.
-obs-gate:
-	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 3 -kernel predictive \
-		-seed 7 -trace /tmp/obs_gate_trace.jsonl > /dev/null
-	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 3 -kernel reference \
-		-seed 7 -trace /tmp/obs_gate_ref_trace.jsonl > /dev/null
-	cat /tmp/obs_gate_trace.jsonl /tmp/obs_gate_ref_trace.jsonl \
-		> /tmp/obs_gate_all.jsonl
-	$(GO) run ./cmd/obstool gate BENCH_host.json BENCH_rp.json BENCH_gpu.json \
-		/tmp/obs_gate_all.jsonl -max-regress 10%

@@ -1,14 +1,14 @@
-// Command obstool analyzes the JSONL span traces beamsim -trace writes
-// and enforces the perf regression gate that keeps the committed
-// BENCH_host.json honest.
+// Command obstool analyzes the JSONL span traces beamsim -trace writes.
+// TestGoldenTables in internal/obs/analysis pins its tables byte for byte;
+// performance is measured by perfbench (see perfbench/README.md).
 //
 // Subcommands:
 //
 //	obstool summary trace.jsonl
-//	    Per-span aggregation: count, total, mean, p50/p95/p99 (histogram
-//	    quantile estimation over exponential duration buckets), max. When
-//	    the trace carries host reference solves, appends the rp solver
-//	    cache section (tile-scratch and radial-memo reuse rates).
+//	    Per-span aggregation: count, total, mean, exact p50/p95/p99 over
+//	    the raw span durations, max. When the trace carries host
+//	    reference solves, appends the rp solver cache section
+//	    (tile-scratch and radial-memo reuse rates).
 //
 //	obstool timeline trace.jsonl
 //	    Per-step span timeline with proportional duration bars.
@@ -38,15 +38,6 @@
 //	    -postmortem-dir: the dump reason and trigger alert, the alert
 //	    firing log, and the flight-recorder trace's per-span aggregation.
 //
-//	obstool gate budget.json [budget.json ...] trace.jsonl [-max-regress 10%]
-//	    Check the trace against one or more committed budget files —
-//	    BENCH_host.json gates the kernels' per-phase host costs,
-//	    BENCH_rp.json gates the host reference solver's per-step cost,
-//	    BENCH_jobs.json gates the job control plane's queue-wait p95 —
-//	    and exit 1 on regression. Budget files are dispatched on their
-//	    "benchmark" tag. `make obs-gate` runs this in CI on short
-//	    deterministic runs.
-//
 // Exit codes: 0 ok, 1 regression detected, 2 usage or input error.
 package main
 
@@ -72,8 +63,6 @@ commands:
   predictor trace.jsonl                  predictor quality series + fallback spike detection
   diff      old.jsonl new.jsonl          compare two runs per span name
   postmortem bundle-dir                  triage summary of a post-mortem bundle
-  gate      budget.json [...] trace.jsonl  enforce perf budgets (exit 1 on regression);
-                                         budgets: BENCH_host.json, BENCH_rp.json, BENCH_jobs.json
 
 "-" reads a trace from stdin. Run "obstool <command> -h" for flags.
 `)
@@ -100,8 +89,6 @@ func main() {
 		runDiff(args)
 	case "postmortem":
 		runPostmortem(args)
-	case "gate":
-		runGate(args)
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -140,39 +127,24 @@ func newFlagSet(name, positional string) *flag.FlagSet {
 
 // parseMixed parses the flag set allowing flags before or after the n
 // positional arguments (the stdlib flag package stops at the first
-// positional, which would reject "obstool gate base.json trace.jsonl
+// positional, which would reject "obstool diff old.jsonl new.jsonl
 // -max-regress 10%").
 func parseMixed(fs *flag.FlagSet, args []string, n int) []string {
-	pos := collectMixed(fs, args)
-	if len(pos) != n {
-		fs.Usage()
-		os.Exit(2)
-	}
-	return pos
-}
-
-// parseMixedAtLeast is parseMixed for commands with a variable positional
-// tail (gate takes one or more budget files before the trace).
-func parseMixedAtLeast(fs *flag.FlagSet, args []string, min int) []string {
-	pos := collectMixed(fs, args)
-	if len(pos) < min {
-		fs.Usage()
-		os.Exit(2)
-	}
-	return pos
-}
-
-func collectMixed(fs *flag.FlagSet, args []string) []string {
 	var pos []string
 	for {
 		fs.Parse(args)
 		args = fs.Args()
 		if len(args) == 0 {
-			return pos
+			break
 		}
 		pos = append(pos, args[0])
 		args = args[1:]
 	}
+	if len(pos) != n {
+		fs.Usage()
+		os.Exit(2)
+	}
+	return pos
 }
 
 // jobFlag registers the shared -job filter: keep only events carrying
@@ -202,7 +174,7 @@ func runSummary(args []string) {
 		fatal(err)
 	}
 	events = filterJob(events, *job)
-	fmt.Print(analysis.SummaryTable(analysis.Aggregate(events, nil)))
+	fmt.Print(analysis.SummaryTable(analysis.Aggregate(events)))
 	if t := analysis.RPCacheTable(analysis.RPCache(events)); t != "" {
 		fmt.Print("\n" + t)
 	}
@@ -284,7 +256,7 @@ func runDiff(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	rows := analysis.Diff(oldEvents, newEvents, nil)
+	rows := analysis.Diff(oldEvents, newEvents)
 	fmt.Print(analysis.DiffTable(rows))
 	if *maxRegress != "" {
 		limit, err := parseRegress(*maxRegress)
@@ -311,84 +283,4 @@ func runPostmortem(args []string) {
 		fatal(err)
 	}
 	fmt.Print(pm.Report())
-}
-
-func runGate(args []string) {
-	fs := newFlagSet("gate", "budget.json [budget.json ...] trace.jsonl")
-	maxRegress := fs.String("max-regress", "10%", "per-phase budget headroom over the baseline")
-	paths := parseMixedAtLeast(fs, args, 2)
-	budgets, tracePath := paths[:len(paths)-1], paths[len(paths)-1]
-	events, err := analysis.ReadTraceFile(tracePath)
-	if err != nil {
-		fatal(err)
-	}
-	limit, err := parseRegress(*maxRegress)
-	if err != nil {
-		fatal(err)
-	}
-	stats := analysis.Aggregate(events, nil)
-	var all []analysis.GateResult
-	checksOK := true
-	for _, bp := range budgets {
-		kind, err := analysis.ProbeBenchmark(bp)
-		if err != nil {
-			fatal(err)
-		}
-		var results []analysis.GateResult
-		switch kind {
-		case analysis.RPBenchmarkName:
-			base, err := analysis.ReadRPBaseline(bp)
-			if err != nil {
-				fatal(err)
-			}
-			// Committed-floor self-checks: the speedup floor and the
-			// per-worker scaling efficiency recorded in the baseline file.
-			if checks := analysis.CheckRPBaseline(base); len(checks) > 0 {
-				fmt.Printf("%s self-checks:\n%s\n", bp, analysis.RPCheckTable(checks))
-				if !analysis.RPChecksOK(checks) {
-					checksOK = false
-				}
-			}
-			if results, err = analysis.GateRP(base, stats, limit); err != nil {
-				fatal(fmt.Errorf("%s: %w", bp, err))
-			}
-		case analysis.GPUBenchmarkName:
-			base, err := analysis.ReadGPUBaseline(bp)
-			if err != nil {
-				fatal(err)
-			}
-			// The GPU replay budget gates purely on its committed-floor
-			// self-checks (replay speedup vs the seed engine, allocations
-			// per launch): device replay has no trace span to re-measure
-			// here, so results stay empty.
-			checks := analysis.CheckGPUBaseline(base)
-			fmt.Printf("%s self-checks:\n%s\n", bp, analysis.RPCheckTable(checks))
-			if !analysis.RPChecksOK(checks) {
-				checksOK = false
-			}
-		case analysis.JobsBenchmarkName:
-			base, err := analysis.ReadJobsBaseline(bp)
-			if err != nil {
-				fatal(err)
-			}
-			if results, err = analysis.GateJobs(base, stats, limit); err != nil {
-				fatal(fmt.Errorf("%s: %w", bp, err))
-			}
-		default: // host-phases (legacy files carry no benchmark tag)
-			base, err := analysis.ReadBaseline(bp)
-			if err != nil {
-				fatal(err)
-			}
-			if results, err = analysis.Gate(base, stats, limit); err != nil {
-				fatal(fmt.Errorf("%s: %w", bp, err))
-			}
-		}
-		all = append(all, results...)
-	}
-	fmt.Print(analysis.GateTable(all))
-	if !analysis.GateOK(all) || !checksOK {
-		fmt.Println("\nperf regression gate FAILED")
-		os.Exit(1)
-	}
-	fmt.Println("\nperf regression gate passed")
 }

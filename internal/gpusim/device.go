@@ -35,9 +35,9 @@ const (
 	// MRU-accelerated cache lookups).
 	EngineStreaming Engine = iota
 	// EngineOracle is the pre-streaming replay, kept callable as the
-	// equivalence oracle: the A/B suite proves both engines produce
-	// ==-equal Metrics for every kernel shape, and cmd/benchgpu measures
-	// the streaming engine's speedup against it.
+	// equivalence oracle: the A/B suite (TestEngineABMatrix) proves both
+	// engines produce ==-equal Metrics for every kernel shape, and
+	// BenchmarkRunOracle times it beside BenchmarkRunStreaming.
 	EngineOracle
 )
 
@@ -74,11 +74,12 @@ func (d *Device) SetLabel(label string) { d.label = label }
 func (d *Device) Label() string { return d.label }
 
 // SetEngine selects the replay implementation. Devices default to
-// EngineStreaming; EngineOracle exists for equivalence tests and the
-// benchgpu baseline. Switching on a warm device resynchronizes the
-// streaming lookup's recency order from the LRU stamps, which the oracle
-// lookup advances without maintaining order — the engines then agree on
-// every future eviction.
+// EngineStreaming; EngineOracle exists for the equivalence tests
+// (TestEngineABMatrix and the kernels/fleet engine A/B tests) and the
+// BenchmarkRunOracle baseline. Switching on a warm device resynchronizes
+// the streaming lookup's recency order from the LRU stamps, which the
+// oracle lookup advances without maintaining order — the engines then
+// agree on every future eviction.
 func (d *Device) SetEngine(e Engine) {
 	d.engine = e
 	for _, sm := range d.sms {

@@ -96,8 +96,9 @@ type HostTimes struct {
 
 // CountHostAllocs enables per-phase heap-allocation accounting in the
 // kernels' host stages (the *Allocs fields of HostTimes). It is meant for
-// the bench harness (cmd/benchhost, BenchmarkPredictiveHostPhases); the
-// ReadMemStats it triggers stops the world, so leave it off elsewhere.
+// tests and benchmarks (TestPredictiveSteadyStateHostAllocs,
+// BenchmarkPredictiveHostPhases); the ReadMemStats it triggers stops the
+// world, so leave it off elsewhere.
 // Toggle only while no kernel step is in flight.
 var CountHostAllocs bool
 

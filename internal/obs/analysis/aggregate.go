@@ -9,13 +9,6 @@ import (
 	"beamdyn/internal/obs"
 )
 
-// DefaultDurationBounds are the span-duration histogram bounds the
-// aggregator uses for quantile estimation: factor-1.5 exponential from
-// 1us to ~270s, fine enough that a within-bucket linear interpolation
-// (obs.HistogramSnapshot.Quantile) stays within ~25% of the exact value
-// while keeping aggregates mergeable across runs with the same bounds.
-var DefaultDurationBounds = obs.ExpBuckets(1e-6, 1.5, 48)
-
 // SpanStats aggregates every span of one name.
 type SpanStats struct {
 	Name     string
@@ -23,9 +16,9 @@ type SpanStats struct {
 	TotalSec float64
 	MinSec   float64
 	MaxSec   float64
-	// Hist is the duration histogram over the aggregation bounds; the
-	// quantile accessors interpolate inside it.
-	Hist obs.HistogramSnapshot
+	// Durs holds every span duration, sorted ascending, so Quantile is
+	// exact rather than a histogram estimate.
+	Durs []float64
 }
 
 // Mean returns the mean span duration.
@@ -36,19 +29,28 @@ func (s SpanStats) Mean() float64 {
 	return s.TotalSec / float64(s.Count)
 }
 
-// Quantile estimates the q-quantile span duration via the histogram.
-func (s SpanStats) Quantile(q float64) float64 { return s.Hist.Quantile(q) }
+// Quantile returns the exact q-quantile (0 <= q <= 1) span duration by
+// linear interpolation between the two closest order statistics (the
+// "type 7" estimator of R and NumPy's default), so it always lies within
+// [MinSec, MaxSec]. It is 0 when there are no spans.
+func (s SpanStats) Quantile(q float64) float64 {
+	n := len(s.Durs)
+	if n == 0 {
+		return 0
+	}
+	h := q * float64(n-1)
+	lo := int(math.Floor(h))
+	if lo >= n-1 {
+		return s.Durs[n-1]
+	}
+	return s.Durs[lo] + (h-float64(lo))*(s.Durs[lo+1]-s.Durs[lo])
+}
 
 // Aggregate groups span events by name, accumulating count, total, min,
-// max and a duration histogram over bounds (nil means
-// DefaultDurationBounds). Results are sorted by name. Point events
+// max and the sorted durations. Results are sorted by name. Point events
 // (kind "event") carry no duration and are ignored.
-func Aggregate(events []obs.Event, bounds []float64) []SpanStats {
-	if bounds == nil {
-		bounds = DefaultDurationBounds
-	}
+func Aggregate(events []obs.Event) []SpanStats {
 	byName := make(map[string]*SpanStats)
-	durs := make(map[string][]float64)
 	for _, e := range events {
 		if e.Kind != "span" {
 			continue
@@ -62,36 +64,15 @@ func Aggregate(events []obs.Event, bounds []float64) []SpanStats {
 		st.TotalSec += e.Dur
 		st.MinSec = math.Min(st.MinSec, e.Dur)
 		st.MaxSec = math.Max(st.MaxSec, e.Dur)
-		durs[e.Name] = append(durs[e.Name], e.Dur)
+		st.Durs = append(st.Durs, e.Dur)
 	}
 	out := make([]SpanStats, 0, len(byName))
-	for name, st := range byName {
-		st.Hist = histogramOf(name, durs[name], bounds)
+	for _, st := range byName {
+		sort.Float64s(st.Durs)
 		out = append(out, *st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// histogramOf builds a HistogramSnapshot over bounds from raw values,
-// using the registry's bucketing convention (count at index i is
-// observations <= bounds[i], plus an overflow bucket).
-func histogramOf(name string, vals []float64, bounds []float64) obs.HistogramSnapshot {
-	h := obs.HistogramSnapshot{Name: name, Count: uint64(len(vals))}
-	counts := make([]uint64, len(bounds)+1)
-	for _, v := range vals {
-		i := sort.SearchFloat64s(bounds, v)
-		counts[i]++
-		h.Sum += v
-	}
-	for i, c := range counts {
-		ub := math.Inf(1)
-		if i < len(bounds) {
-			ub = bounds[i]
-		}
-		h.Buckets = append(h.Buckets, obs.BucketSnapshot{UpperBound: ub, Count: c})
-	}
-	return h
 }
 
 // SummaryTable renders the aggregate as an aligned table (durations in

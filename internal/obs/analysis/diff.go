@@ -30,9 +30,9 @@ func (r DiffRow) Regressed(maxRegress float64) bool {
 
 // Diff aggregates two traces and joins them per span name, sorted by
 // descending mean delta so regressions lead the report.
-func Diff(oldEvents, newEvents []obs.Event, bounds []float64) []DiffRow {
-	oldStats := Aggregate(oldEvents, bounds)
-	newStats := Aggregate(newEvents, bounds)
+func Diff(oldEvents, newEvents []obs.Event) []DiffRow {
+	oldStats := Aggregate(oldEvents)
+	newStats := Aggregate(newEvents)
 	byName := make(map[string]*DiffRow)
 	for _, s := range oldStats {
 		byName[s.Name] = &DiffRow{

@@ -1,10 +1,9 @@
 // Package analysis is the offline half of the observability stack: it
 // reads the JSONL span traces the obs.Tracer emits and turns them into
-// per-kernel/per-phase aggregates (with histogram-quantile latency
-// estimates), step timelines, fleet per-device accounting, predictor
-// fallback-spike detection, cross-run diffs, and the perf regression
-// gate that make ci enforces against BENCH_host.json. cmd/obstool is the
-// CLI over this package.
+// per-kernel/per-phase aggregates (with exact latency quantiles), step
+// timelines, fleet per-device accounting, predictor fallback-spike
+// detection and cross-run diffs. cmd/obstool is the CLI over this
+// package; TestGoldenTables pins its tables against a committed trace.
 package analysis
 
 import (

@@ -414,8 +414,10 @@ func (p *Problem) SolvePoint(x, y float64) PointResult {
 // SolvePointClosure is the original closure-based evaluation path:
 // Integrand over recursive AdaptiveSimpson, with fresh slices per point.
 // It is retained as the equivalence reference for the panel evaluator —
-// Evaluator.SolvePoint must reproduce it bit for bit — and as the baseline
-// of the cmd/benchrp speedup measurement.
+// Evaluator.SolvePoint must reproduce it bit for bit
+// (TestEvaluatorMatchesClosureSolvePoint,
+// TestTiledSolveMatchesClosureAllKernels) — and as the baseline that
+// BenchmarkSolvePointClosure times against BenchmarkEvaluatorSolvePoint.
 func (p *Problem) SolvePointClosure(x, y float64) PointResult {
 	f := p.Integrand(x, y, nil)
 	r := p.R(x, y)
