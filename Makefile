@@ -90,9 +90,11 @@ bench-host:
 # goroutines with per-SM scratch, and the engine A/B matrices in gpusim,
 # kernels and fleet drive both engines across every interleaving-sensitive
 # path (resident windows, work stealing, multi-GPU fan-out).
+# UnchangedByEvaluator replays the evaluator's stencil runs against the
+# closure's single loads on the same per-SM scratch.
 test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
-	$(GO) test -race -count=1 -run 'Engine' ./internal/kernels/... ./internal/fleet/...
+	$(GO) test -race -count=1 -run 'Engine|UnchangedByEvaluator' ./internal/kernels/... ./internal/fleet/...
 
 # Tiled-dispatch race gate: the cache-blocked GridSolver fans tiles out
 # across the hostpar pool with per-worker evaluators and shared target

@@ -39,6 +39,53 @@ func BenchmarkRunOracle(b *testing.B) {
 	}
 }
 
+// stencilLaunch records the integrand's address stream: every lane reads
+// three 3×3 stencils per sample from a grid-wide plane, either as stencil
+// runs or as the nine single loads each stands for.
+func stencilLaunch(grid int, asRun bool) Launch {
+	row := uintptr(grid * 8)
+	return Launch{
+		Name: "stencil", Blocks: grid * grid / 256, ThreadsPerBlock: 256,
+		Kernel: func(l *Lane, b, th int) {
+			l.Begin(0)
+			for s := 0; s < 4; s++ {
+				for p := 0; p < 3; p++ {
+					corner := uintptr(p*grid*grid*8+b*grid*8+th*8) + uintptr(s)*row
+					if asRun {
+						l.LoadStencil3x3(corner, 8, row)
+						continue
+					}
+					for oy := uintptr(0); oy < 3; oy++ {
+						for ox := uintptr(0); ox < 3; ox++ {
+							l.Load(corner + ox*8 + oy*row)
+						}
+					}
+				}
+				l.Flops(104)
+			}
+		},
+	}
+}
+
+// BenchmarkRunStencil replays the same stencil address stream recorded as
+// runs (the evaluator's form) and as singles (the closure's form).
+func BenchmarkRunStencil(b *testing.B) {
+	for _, form := range []struct {
+		name  string
+		asRun bool
+	}{{"runs", true}, {"singles", false}} {
+		b.Run(form.name, func(b *testing.B) {
+			d := New(KeplerK40())
+			l := stencilLaunch(128, form.asRun)
+			d.Run(l)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Run(l)
+			}
+		})
+	}
+}
+
 func scatterLaunch(grid int) Launch {
 	return Launch{
 		Name: "scatter", Blocks: grid * grid / 256, ThreadsPerBlock: 256,

@@ -160,19 +160,20 @@ type smState struct {
 	l1, l2 *cache
 	m      Metrics
 	lanes  []*Lane
-	// scratch for coalescing (<= WarpSize entries per warp instruction)
-	addrs []uintptr
-	lines []uintptr
+	// scratch for coalescing (<= WarpSize entries per warp instruction);
+	// corners holds the members' stencil-run corners during a batch
+	addrs   []uintptr
+	lines   []uintptr
+	corners []uintptr
 	// scratch for divergent-kind grouping (<= WarpSize distinct kinds):
 	// members collects the lanes alive at step t, group one kind's subset
 	kinds   []uint16
 	members []*Lane
 	group   []*Lane
-	// loadSl/storeSl mirror members during replayGroup: each member's
-	// load/store address windows at unit step t, sliced once instead of
+	// cur mirrors members during replayGroup: each member's load (then
+	// store) run cursor at unit step t, sliced once instead of
 	// re-deriving unit bounds per memory instruction
-	loadSl  [][]uintptr
-	storeSl [][]uintptr
+	cur []runCursor
 	// resident holds the current window's warps (<= ResidentWarps)
 	resident [][]*Lane
 
@@ -206,8 +207,8 @@ func New(cfg Config) *Device {
 			kinds:    make([]uint16, 0, cfg.WarpSize),
 			members:  make([]*Lane, 0, cfg.WarpSize),
 			group:    make([]*Lane, 0, cfg.WarpSize),
-			loadSl:   make([][]uintptr, 0, cfg.WarpSize),
-			storeSl:  make([][]uintptr, 0, cfg.WarpSize),
+			corners:  make([]uintptr, 0, cfg.WarpSize),
+			cur:      make([]runCursor, 0, cfg.WarpSize),
 			resident: make([][]*Lane, 0, cfg.ResidentWarps),
 		}
 		for j := range sm.lanes {
@@ -440,19 +441,27 @@ func (d *Device) replayWarpStep(sm *smState, lanes []*Lane, t int) {
 }
 
 // replayGroup issues the t-th unit of the member lanes as one lockstep
-// group. The stats pass only reads unit bounds; the members' load/store
-// address windows are sliced into scratch once per group — and only when
-// the group actually issues memory instructions, so flop-only units pay
-// nothing. The gather loops then convert lane addresses straight to cache
-// lines (a shift when the line size is a power of two, which it is for
-// every shipped config), detecting the single-line and presorted
+// group. The stats pass only reads unit bounds; the members' load and
+// store run cursors are sliced into scratch once per group — and only
+// when the group actually issues memory instructions, so flop-only units
+// pay nothing. The gather loops then convert lane addresses straight to
+// cache lines (a shift when the line size is a power of two, which it is
+// for every shipped config), detecting the single-line and presorted
 // coalescing shapes on the fly so walkLines never re-scans.
+//
+// Loads are issued from the members' run cursors. When every live member
+// sits at the start of a stencil run and the runs share (col, row),
+// replayStencil issues all nine of the stencil's warp instructions from
+// one gather of the corners; any other position issues one instruction
+// through gatherRuns, which steps each cursor by one expanded load.
+// Either way the i-th load of every member forms the i-th instruction,
+// exactly as if the members had recorded single loads.
 func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 	m := &sm.m
 	var maxInsts, maxFlops, maxLoads, maxStores uint64
 	for _, lane := range members {
 		u := &lane.units[t]
-		loads := uint64(u.loadEnd - u.loadStart)
+		loads := uint64(u.loads)
 		stores := uint64(u.stEnd - u.stStart)
 		insts := uint64(u.flops) + loads + stores
 		m.ThreadInsts += insts
@@ -477,45 +486,136 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 	// Loads: the i-th load of every member forms one warp memory
 	// instruction; unique L1 lines among active lanes become transactions.
 	if maxLoads > 0 {
-		loadSl := sm.loadSl[:0]
+		cur := sm.cur[:0]
 		for _, lane := range members {
 			u := &lane.units[t]
-			loadSl = append(loadSl, lane.loads[u.loadStart:u.loadEnd])
+			cur = append(cur, runCursor{runs: lane.loads[u.runStart:u.runEnd]})
 		}
-		for i := 0; i < int(maxLoads); i++ {
-			n, same, sorted := d.gatherLines(sm, loadSl, i)
+		for i := 0; i < int(maxLoads); {
+			if d.lineShift >= 0 && d.replayStencil(sm, cur) {
+				i += 9
+				continue
+			}
+			n, same, sorted := d.gatherRuns(sm, cur)
 			m.LoadReqBytes += 8 * uint64(n)
 			d.walkLines(sm, sm.lines[:n], same, sorted, true)
+			i++
 		}
 	}
 	if maxStores > 0 {
-		storeSl := sm.storeSl[:0]
+		cur := sm.cur[:0]
 		for _, lane := range members {
 			u := &lane.units[t]
-			storeSl = append(storeSl, lane.stores[u.stStart:u.stEnd])
+			cur = append(cur, runCursor{runs: lane.stores[u.stStart:u.stEnd]})
 		}
 		for i := 0; i < int(maxStores); i++ {
-			n, same, sorted := d.gatherLines(sm, storeSl, i)
+			n, same, sorted := d.gatherRuns(sm, cur)
 			m.StoreReqBytes += 8 * uint64(n)
 			d.walkLines(sm, sm.lines[:n], same, sorted, false)
 		}
 	}
 }
 
-// gatherLines collects the i-th address of every window into the line
-// scratch, converted to L1 lines, noting whether all lines coincide and
-// whether they arrived non-decreasing. Returns the number gathered.
-func (d *Device) gatherLines(sm *smState, windows [][]uintptr, i int) (n int, same, sorted bool) {
+// runCursor is one member's position in its unit's load or store runs:
+// the remaining runs and the expanded access index k within the first.
+type runCursor struct {
+	runs []run
+	k    uint32
+}
+
+// replayStencil issues the nine warp load instructions of a stencil batch
+// when every live cursor (one with runs left) sits at the start of a
+// stencil run and all of them share (col, row); otherwise it reports
+// false without side effects. The corners are gathered once; instruction
+// k then offsets each by stencilOX[k]·col + stencilOY[k]·row and
+// coalesces while the lines arrive: as long as they are non-decreasing
+// each one is deduplicated against the last kept line, so the presorted
+// shape reaches the caches without a second pass. The first inversion
+// appends the rest raw and hands the lot to walkLines as unsorted, which
+// sorts and deduplicates it exactly as it would the full gather. Callers
+// guarantee lineShift >= 0.
+func (d *Device) replayStencil(sm *smState, cur []runCursor) bool {
+	corners := sm.corners[:0]
+	var col, row uintptr
+	for j := range cur {
+		c := &cur[j]
+		if len(c.runs) == 0 {
+			continue
+		}
+		r := &c.runs[0]
+		if c.k != 0 || r.n != 9 {
+			return false
+		}
+		if len(corners) == 0 {
+			col, row = r.col, r.row
+		} else if r.col != col || r.row != row {
+			return false
+		}
+		corners = append(corners, r.addr)
+	}
+	if len(corners) == 0 {
+		return false
+	}
+	for j := range cur {
+		if c := &cur[j]; len(c.runs) > 0 {
+			c.runs = c.runs[1:]
+		}
+	}
+	m := &sm.m
+	shift := uint(d.lineShift)
+	reqBytes := 8 * uint64(len(corners))
+	for k := range stencilOX {
+		off := stencilOX[k]*col + stencilOY[k]*row
+		lines := sm.lines[:0]
+		prev := (corners[0] + off) >> shift
+		lines = append(lines, prev)
+		j := 1
+		for ; j < len(corners); j++ {
+			ln := (corners[j] + off) >> shift
+			if ln < prev {
+				break
+			}
+			if ln != prev {
+				lines = append(lines, ln)
+				prev = ln
+			}
+		}
+		m.LoadReqBytes += reqBytes
+		if j < len(corners) {
+			for ; j < len(corners); j++ {
+				lines = append(lines, (corners[j]+off)>>shift)
+			}
+			d.walkLines(sm, lines, false, false, true)
+			continue
+		}
+		if len(lines) == 1 {
+			sm.lineHits++
+		}
+		d.loadLines(sm, lines)
+	}
+	return true
+}
+
+// gatherRuns collects the next address of every live cursor into the line
+// scratch, converted to L1 lines, and advances those cursors by one
+// expanded load or store, noting whether all lines coincide and whether
+// they arrived non-decreasing. Returns the number gathered.
+func (d *Device) gatherRuns(sm *smState, cur []runCursor) (n int, same, sorted bool) {
 	lineBytes := uintptr(d.cfg.L1LineBytes)
 	shift := d.lineShift
 	lines := sm.lines[:0]
 	var first, prev uintptr
 	same, sorted = true, true
-	for _, sl := range windows {
-		if i >= len(sl) {
+	for j := range cur {
+		c := &cur[j]
+		if len(c.runs) == 0 {
 			continue
 		}
-		a := sl[i]
+		r := &c.runs[0]
+		a := r.at(c.k)
+		if c.k++; c.k == r.n {
+			c.runs, c.k = c.runs[1:], 0
+		}
 		var ln uintptr
 		if shift >= 0 {
 			ln = a >> uint(shift)
@@ -571,24 +671,30 @@ func (d *Device) walkLines(sm *smState, lines []uintptr, same, sorted, isLoad bo
 			}
 		}
 	}
-	m := &sm.m
 	if isLoad {
-		m.L1TransferBytes += uint64(len(uniq)) * uint64(d.cfg.L1LineBytes)
-		for _, ln := range uniq {
-			m.L1Accesses++
-			if sm.l1.access(ln) {
-				m.L1Hits++
-				continue
-			}
-			m.L2Accesses++
-			if sm.l2.access(ln) {
-				m.L2Hits++
-				continue
-			}
-			m.DRAMReadBytes += uint64(d.cfg.L2LineBytes)
-		}
+		d.loadLines(sm, uniq)
 	} else {
-		m.DRAMWriteBytes += uint64(len(uniq)) * uint64(d.cfg.L2LineBytes)
+		sm.m.DRAMWriteBytes += uint64(len(uniq)) * uint64(d.cfg.L2LineBytes)
+	}
+}
+
+// loadLines walks the unique lines of one warp load instruction through
+// L1, then L2, then DRAM.
+func (d *Device) loadLines(sm *smState, uniq []uintptr) {
+	m := &sm.m
+	m.L1TransferBytes += uint64(len(uniq)) * uint64(d.cfg.L1LineBytes)
+	for _, ln := range uniq {
+		m.L1Accesses++
+		if sm.l1.access(ln) {
+			m.L1Hits++
+			continue
+		}
+		m.L2Accesses++
+		if sm.l2.access(ln) {
+			m.L2Hits++
+			continue
+		}
+		m.DRAMReadBytes += uint64(d.cfg.L2LineBytes)
 	}
 }
 

@@ -218,6 +218,29 @@ func TestRunZeroSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { d.Run(l) }); avg != 0 {
 		t.Fatalf("Device.Run allocates %.1f objects/launch in steady state, want 0", avg)
 	}
+	// Stencil runs: the batch path (aligned runs), the cursor path (a
+	// leading single on some lanes) and the sort fallback (descending
+	// corners) must be allocation-free too.
+	stencils := Launch{
+		Name: "alloc-pin-stencil", Blocks: 6, ThreadsPerBlock: 100,
+		Kernel: func(lane *Lane, b, th int) {
+			lane.Begin(th % 2)
+			if th%3 == 0 {
+				lane.Load(uintptr(th * 8))
+			}
+			for s := 0; s <= th%4; s++ {
+				lane.LoadStencil3x3(uintptr(b*8192+th*8+s*1024), 8, 128*8)
+			}
+			lane.LoadStencil3x3(uintptr((100-th)*4096), 8, 128*8)
+			lane.Flops(30)
+		},
+	}
+	for i := 0; i < 3; i++ {
+		d.Run(stencils)
+	}
+	if avg := testing.AllocsPerRun(20, func() { d.Run(stencils) }); avg != 0 {
+		t.Fatalf("Device.Run allocates %.1f objects/launch replaying stencil runs, want 0", avg)
+	}
 }
 
 // TestRunDeterministicAcrossInterleavings pins the parallel replay's
@@ -302,13 +325,13 @@ func TestLaneFlopsReadOnly(t *testing.T) {
 	if f := l.LaneFlops(); f != 3 {
 		t.Fatalf("mid-trace LaneFlops = %d, want 3 (open unit counted)", f)
 	}
-	if end := l.units[0].loadEnd; end != 0 {
-		t.Fatalf("LaneFlops closed the open unit (loadEnd = %d, want 0 until closeUnit)", end)
+	if end := l.units[0].runEnd; end != 0 {
+		t.Fatalf("LaneFlops closed the open unit (runEnd = %d, want 0 until closeUnit)", end)
 	}
 	l.Load(0x20) // the trace continues after the helper call
 	l.closeUnit()
-	if end := l.units[0].loadEnd; end != 2 {
-		t.Fatalf("unit loadEnd = %d after closeUnit, want 2", end)
+	if end := l.units[0].runEnd; end != 2 {
+		t.Fatalf("unit runEnd = %d after closeUnit, want 2", end)
 	}
 	if f := l.LaneFlops(); f != 3 {
 		t.Fatalf("closed-trace LaneFlops = %d, want 3", f)

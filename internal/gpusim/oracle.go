@@ -7,7 +7,8 @@ import "sort"
 // It materializes each resident window's traces before replaying,
 // allocates kind/member slices per warp step, orders kinds and coalesced
 // lines with sort.Slice, and consults the caches through the plain
-// associative scan — exactly the engine the streaming path replaced. The
+// associative scan — exactly the engine the streaming path replaced, with
+// load runs expanded to one address per load before replay. The
 // A/B suite (TestEngineABMatrix and the kernel-level equivalence tests)
 // proves both engines produce ==-equal Metrics for every kernel,
 // divergence shape, warp size and resident-window configuration, and
@@ -104,7 +105,7 @@ func (d *Device) replayGroupOracle(sm *smState, members []*Lane, t int) {
 	var maxInsts, maxFlops, maxLoads, maxStores uint64
 	for _, lane := range members {
 		u := lane.units[t]
-		loads := uint64(u.loadEnd - u.loadStart)
+		loads := uint64(u.loads)
 		stores := uint64(u.stEnd - u.stStart)
 		insts := uint64(u.flops) + loads + stores
 		m.ThreadInsts += insts
@@ -128,12 +129,16 @@ func (d *Device) replayGroupOracle(sm *smState, members []*Lane, t int) {
 
 	// Loads: the i-th load of every member forms one warp memory
 	// instruction; unique L1 lines among active lanes become transactions.
+	// Load runs are expanded up front into one address list per member.
+	loads := make([][]uintptr, len(members))
+	for j, lane := range members {
+		loads[j] = lane.expandLoads(&lane.units[t])
+	}
 	for i := uint64(0); i < maxLoads; i++ {
 		sm.addrs = sm.addrs[:0]
-		for _, lane := range members {
-			u := lane.units[t]
-			if u.loadStart+uint32(i) < u.loadEnd {
-				sm.addrs = append(sm.addrs, lane.loads[u.loadStart+uint32(i)])
+		for _, l := range loads {
+			if i < uint64(len(l)) {
+				sm.addrs = append(sm.addrs, l[i])
 			}
 		}
 		m.LoadReqBytes += 8 * uint64(len(sm.addrs))
@@ -144,7 +149,7 @@ func (d *Device) replayGroupOracle(sm *smState, members []*Lane, t int) {
 		for _, lane := range members {
 			u := lane.units[t]
 			if u.stStart+uint32(i) < u.stEnd {
-				sm.addrs = append(sm.addrs, lane.stores[u.stStart+uint32(i)])
+				sm.addrs = append(sm.addrs, lane.stores[u.stStart+uint32(i)].addr)
 			}
 		}
 		m.StoreReqBytes += 8 * uint64(len(sm.addrs))

@@ -35,6 +35,11 @@ type fixedPhaseSpec struct {
 func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixedPhaseSpec) (gpusim.Metrics, []workEntry) {
 	fails := make([][]workEntry, len(points))
 	pool := newIntegrandPool(dev, p)
+	// keptBySM is each simulated SM's accepted-breakpoint scratch, indexed
+	// like the integrand pool: one SM replays its lanes sequentially, and
+	// quadrature.MergeLists copies its inputs, so the next lane on the SM
+	// may reuse the backing array.
+	keptBySM := make([][]float64, dev.Config().NumSMs)
 	m := dev.Run(gpusim.Launch{
 		Name:            spec.name,
 		Blocks:          len(spec.blocks),
@@ -58,7 +63,8 @@ func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixe
 			// compares the quadrature-rule error estimate against tau.
 			tol := p.Tol
 			var acc, accErr float64
-			var kept []float64
+			sm := block % len(keptBySM)
+			kept := keptBySM[sm][:0]
 			// The left endpoint's integrand value carries over between
 			// contiguous panels, as any composite-rule kernel arranges.
 			fPrev := 0.0
@@ -116,6 +122,7 @@ func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixe
 			pt.I = acc
 			pt.Err = accErr
 			pt.Partition = quadrature.MergeLists(pt.Partition, kept, 1e-18)
+			keptBySM[sm] = kept
 			lane.Store(pointAddr(i, 3))
 			lane.Store(pointAddr(i, 4))
 			lane.Flops(2)

@@ -24,7 +24,8 @@ func snap(t *testing.T, bounds []float64, vals ...float64) HistogramSnapshot {
 
 func TestQuantileExactOnUniformBucketFill(t *testing.T) {
 	// One observation per unit bucket: the empirical distribution is
-	// uniform on [0, 10], where linear interpolation is exact.
+	// uniform on [0, 10], where linear interpolation is exact; the
+	// extremes clamp to the observed min 0.5 and max 9.5.
 	bounds := LinearBuckets(1, 1, 10) // 1..10
 	var vals []float64
 	for i := 0; i < 10; i++ {
@@ -32,7 +33,7 @@ func TestQuantileExactOnUniformBucketFill(t *testing.T) {
 	}
 	h := snap(t, bounds, vals...)
 	for _, tc := range []struct{ q, want float64 }{
-		{0, 0}, {0.1, 1}, {0.25, 2.5}, {0.5, 5}, {0.75, 7.5}, {0.9, 9}, {1, 10},
+		{0, 0.5}, {0.1, 1}, {0.25, 2.5}, {0.5, 5}, {0.75, 7.5}, {0.9, 9}, {1, 9.5},
 	} {
 		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
@@ -41,11 +42,12 @@ func TestQuantileExactOnUniformBucketFill(t *testing.T) {
 }
 
 func TestQuantileSingleBucketInterpolates(t *testing.T) {
-	// All mass in one [0, 10] bucket: Quantile(q) = 10q regardless of
-	// where inside the bucket the observations actually sat.
+	// All mass in one [0, 10] bucket: the interpolation gives 10q
+	// regardless of where inside the bucket the observations actually
+	// sat, clamped into the observed range [1, 4].
 	h := snap(t, []float64{10}, 1, 2, 3, 4)
 	for _, q := range []float64{0.25, 0.5, 0.75} {
-		if got, want := h.Quantile(q), 10*q; math.Abs(got-want) > 1e-12 {
+		if got, want := h.Quantile(q), math.Min(10*q, 4); math.Abs(got-want) > 1e-12 {
 			t.Errorf("Quantile(%g) = %g, want %g", q, got, want)
 		}
 	}
@@ -80,10 +82,19 @@ func TestQuantileWithinBucketWidthOfExact(t *testing.T) {
 }
 
 func TestQuantileOverflowClipsToLargestBound(t *testing.T) {
-	h := snap(t, []float64{1, 2}, 5, 6, 7)
+	// The overflow bucket clips to the largest finite bound 2 ...
+	h := snap(t, []float64{1, 2}, 1.5, 5, 6, 7)
 	for _, q := range []float64{0.5, 1} {
 		if got := h.Quantile(q); got != 2 {
 			t.Errorf("Quantile(%g) = %g, want largest finite bound 2", q, got)
+		}
+	}
+	// ... which the clamp raises to the minimum when every observation
+	// overflowed.
+	h = snap(t, []float64{1, 2}, 5, 6, 7)
+	for _, q := range []float64{0.5, 1} {
+		if got := h.Quantile(q); got != 5 {
+			t.Errorf("all-overflow Quantile(%g) = %g, want min 5", q, got)
 		}
 	}
 }
@@ -96,18 +107,53 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if got := snap(t, nil, 1, 2).Quantile(0.5); !math.IsNaN(got) {
 		t.Errorf("unbounded histogram Quantile = %g, want NaN", got)
 	}
-	// Out-of-range q clamps.
+	// Out-of-range q clamps to [0, 1], and the estimate to [min, max].
 	h := snap(t, []float64{1, 2}, 0.5, 1.5)
-	if got := h.Quantile(-1); got != 0 {
-		t.Errorf("Quantile(-1) = %g, want 0", got)
+	if got := h.Quantile(-1); got != 0.5 {
+		t.Errorf("Quantile(-1) = %g, want min 0.5", got)
 	}
-	if got := h.Quantile(2); got != 2 {
-		t.Errorf("Quantile(2) = %g, want 2", got)
+	if got := h.Quantile(2); got != 1.5 {
+		t.Errorf("Quantile(2) = %g, want max 1.5", got)
 	}
 	// Negative-bound first bucket returns the bound unsplit (no zero
-	// lower edge to interpolate from).
-	if got := snap(t, []float64{-1, 1}, -2).Quantile(0.5); got != -1 {
+	// lower edge to interpolate from), clamped into [min, max].
+	if got := snap(t, []float64{-1, 1}, -2, -0.5).Quantile(0.5); got != -1 {
 		t.Errorf("negative first bucket Quantile = %g, want -1", got)
+	}
+}
+
+func TestQuantileClampedToObservedRange(t *testing.T) {
+	// One observation of 3 in a [0, 10] bucket: every quantile is 3.
+	h := snap(t, []float64{10}, 3)
+	if h.Min != 3 || h.Max != 3 {
+		t.Fatalf("snapshot min/max = %g/%g, want 3/3", h.Min, h.Max)
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got != 3 {
+			t.Errorf("Quantile(%g) = %g, want 3", q, got)
+		}
+	}
+	// A skewed fill whose top values share a wide bucket: interpolation
+	// alone would put p95 and p99 above the largest observation.
+	vals := []float64{300, 320, 350, 380, 400, 420, 457.6}
+	h = snap(t, ExpBuckets(1, 2, 12), vals...)
+	if h.Min != 300 || h.Max != 457.6 {
+		t.Fatalf("snapshot min/max = %g/%g, want 300/457.6", h.Min, h.Max)
+	}
+	if raw := h.interpolate(0.95); raw <= h.Max {
+		t.Fatalf("fixture does not exercise the clamp: unclamped p95 %g <= max %g", raw, h.Max)
+	}
+	prev := h.Min
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		got := h.Quantile(q)
+		if got < prev || got > h.Max {
+			t.Errorf("Quantile(%g) = %g outside [%g, max %g]", q, got, prev, h.Max)
+		}
+		prev = got
+	}
+	// An empty histogram snapshots min and max as 0 (JSON-safe).
+	if e := snap(t, []float64{1}); e.Min != 0 || e.Max != 0 {
+		t.Errorf("empty snapshot min/max = %g/%g, want 0/0", e.Min, e.Max)
 	}
 }
 

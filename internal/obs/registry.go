@@ -192,6 +192,10 @@ type Histogram struct {
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
+	// minBits/maxBits hold the smallest and largest observation as float
+	// bits (+Inf/-Inf while empty).
+	minBits atomic.Uint64
+	maxBits atomic.Uint64
 	name    string
 	labels  map[string]string
 
@@ -212,11 +216,24 @@ const exemplarMaxAge = 1024
 func newHistogram(name string, bounds []float64, labels []Label) *Histogram {
 	bs := make([]float64, len(bounds))
 	copy(bs, bounds)
-	return &Histogram{
+	h := &Histogram{
 		bounds:  bs,
 		buckets: make([]atomic.Uint64, len(bs)+1),
 		name:    name,
 		labels:  labelMap(labels),
+	}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
+}
+
+// casFloat stores v into bits while keep(v, current) holds.
+func casFloat(bits *atomic.Uint64, v float64, keep func(v, cur float64) bool) {
+	for {
+		old := bits.Load()
+		if !keep(v, math.Float64frombits(old)) || bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
 	}
 }
 
@@ -225,6 +242,8 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	casFloat(&h.minBits, v, func(v, cur float64) bool { return v < cur })
+	casFloat(&h.maxBits, v, func(v, cur float64) bool { return v > cur })
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
@@ -281,6 +300,22 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
+}
+
+// Min returns the smallest observed value (+Inf when empty).
+func (h *Histogram) Min() float64 {
+	if h == nil {
+		return math.Inf(1)
+	}
+	return math.Float64frombits(h.minBits.Load())
+}
+
+// Max returns the largest observed value (-Inf when empty).
+func (h *Histogram) Max() float64 {
+	if h == nil {
+		return math.Inf(-1)
+	}
+	return math.Float64frombits(h.maxBits.Load())
 }
 
 // LinearBuckets returns n bounds start, start+width, ...
@@ -343,10 +378,14 @@ type ExemplarSnapshot struct {
 
 // HistogramSnapshot is one histogram series' state.
 type HistogramSnapshot struct {
-	Name     string            `json:"name"`
-	Labels   map[string]string `json:"labels,omitempty"`
-	Count    uint64            `json:"count"`
-	Sum      float64           `json:"sum"`
+	Name   string            `json:"name"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Count  uint64            `json:"count"`
+	Sum    float64           `json:"sum"`
+	// Min and Max are the smallest and largest observation (both 0 while
+	// Count is 0).
+	Min      float64           `json:"min"`
+	Max      float64           `json:"max"`
 	Buckets  []BucketSnapshot  `json:"buckets"`
 	Exemplar *ExemplarSnapshot `json:"exemplar,omitempty"`
 }
@@ -366,9 +405,20 @@ func (h HistogramSnapshot) Mean() float64 {
 // uses. The first bucket's lower edge is taken as 0 (the bound is
 // returned unsplit when it is <= 0), and a rank landing in the +Inf
 // overflow bucket clips to the largest finite bound, since the overflow
-// bucket has no upper edge to interpolate toward. Returns NaN for an
-// empty histogram or one with no finite bounds.
+// bucket has no upper edge to interpolate toward. The estimate is then
+// clamped into [Min, Max], so no quantile falls outside the observed
+// range (coarse buckets would otherwise put p95 above the maximum).
+// Returns NaN for an empty histogram or one with no finite bounds.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
+	v := h.interpolate(q)
+	if h.Min <= h.Max {
+		v = math.Min(math.Max(v, h.Min), h.Max)
+	}
+	return v
+}
+
+// interpolate is Quantile's bucket interpolation before the clamp.
+func (h HistogramSnapshot) interpolate(q float64) float64 {
 	if h.Count == 0 {
 		return math.NaN()
 	}
@@ -432,6 +482,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, key := range sortedKeys(r.hists) {
 		h := r.hists[key]
 		hs := HistogramSnapshot{Name: h.name, Labels: h.labels, Count: h.Count(), Sum: h.Sum()}
+		if lo, hi := h.Min(), h.Max(); hs.Count > 0 && lo <= hi {
+			hs.Min, hs.Max = lo, hi
+		}
 		if v, trace, span, ok := h.Exemplar(); ok {
 			hs.Exemplar = &ExemplarSnapshot{Value: v, Trace: trace, Span: span}
 		}

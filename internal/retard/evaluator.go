@@ -64,8 +64,10 @@ type subEval struct {
 // Newton-Cotes weight table built once, cos/sin tables reused while the
 // angular window repeats. A bound evaluator produces bitwise-identical
 // integrals, errors, partitions and access patterns, and records the
-// identical load/flop sequence on a gpusim.Lane. An Evaluator is not safe
-// for concurrent use — give each worker (or simulated SM) its own.
+// identical load/flop sequence on a gpusim.Lane — each 3×3 stencil as one
+// LoadStencil3x3 run where the closure records nine single Loads, which
+// the replay expands to the same warp instructions. An Evaluator is not
+// safe for concurrent use — give each worker (or simulated SM) its own.
 type Evaluator struct {
 	p   *Problem
 	sub []subEval
@@ -586,7 +588,9 @@ func samplePlaneFast(pl *plane, sx, sy float64) float64 {
 }
 
 // sampleRow is samplePlane with the x-side stencil geometry precomputed by
-// the caller (shared across the three temporal planes).
+// the caller (shared across the three temporal planes). It records the
+// identical load sequence as the closure path's nine single Loads, as one
+// LoadStencil3x3 run.
 func (e *Evaluator) sampleRow(pl *plane, ix int, wx *[3]float64, sy float64) float64 {
 	fy := (sy - pl.y0) / pl.dy
 	iy := int(math.Round(fy))
@@ -595,27 +599,12 @@ func (e *Evaluator) sampleRow(pl *plane, ix int, wx *[3]float64, sy float64) flo
 	}
 	dy := fy - float64(iy)
 	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
-	var v float64
-	lane := e.lane
-	for oy := 0; oy < 3; oy++ {
-		row := (iy+oy-1)*pl.nx + ix - 1
-		w := wy[oy]
-		for ox := 0; ox < 3; ox++ {
-			v += w * wx[ox] * pl.data[row+ox]
-			if lane != nil {
-				lane.Load(pl.base + uintptr(row+ox)*pl.addrStride)
-			}
-		}
-	}
-	if lane != nil {
-		lane.Flops(30) // stencil weights and accumulation
-	}
-	return v
+	return e.stencil(pl, ix, iy, wx, &wy)
 }
 
 // samplePlane is sampleGrid on a hoisted plane: identical arithmetic and
-// identical per-load simulated addresses, with no Grid/History indirection
-// per sample.
+// the identical load sequence (one stencil run instead of nine Loads),
+// with no Grid/History indirection per sample.
 func (e *Evaluator) samplePlane(pl *plane, sx, sy float64) float64 {
 	fx := (sx - pl.x0) / pl.dx
 	fy := (sy - pl.y0) / pl.dy
@@ -628,20 +617,22 @@ func (e *Evaluator) samplePlane(pl *plane, sx, sy float64) float64 {
 	dy := fy - float64(iy)
 	wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
 	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
+	return e.stencil(pl, ix, iy, &wx, &wy)
+}
+
+// stencil records the 3×3 stencil around (ix, iy) on the bound lane as one
+// run and returns its weighted sum, accumulated in sampleGrid's order.
+func (e *Evaluator) stencil(pl *plane, ix, iy int, wx, wy *[3]float64) float64 {
+	corner := (iy-1)*pl.nx + ix - 1
+	e.lane.LoadStencil3x3(pl.base+uintptr(corner)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
+	e.lane.Flops(30) // stencil weights and accumulation
 	var v float64
-	lane := e.lane
 	for oy := 0; oy < 3; oy++ {
-		row := (iy+oy-1)*pl.nx + ix - 1
+		row := corner + oy*pl.nx
 		w := wy[oy]
 		for ox := 0; ox < 3; ox++ {
 			v += w * wx[ox] * pl.data[row+ox]
-			if lane != nil {
-				lane.Load(pl.base + uintptr(row+ox)*pl.addrStride)
-			}
 		}
-	}
-	if lane != nil {
-		lane.Flops(30) // stencil weights and accumulation
 	}
 	return v
 }
