@@ -26,9 +26,12 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection paths are concurrency-heavy: race-check the fleet
-# package and run a short scripted-failure chaos pass on every PR.
+# package, repeat the placement-independence test (its point is that
+# worker interleavings never change grids) and run a short
+# scripted-failure chaos pass on every PR.
 test-fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet/...
+	$(GO) test -race -count=3 -run TestFleetBandStateIndependentOfPlacement ./internal/fleet/
 	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 2 -kernel twophase \
 		-devices 4 -inject "fail:dev=1,step=10,after=1"
 
@@ -89,7 +92,7 @@ bench-host:
 # Streaming replay engine race gate: the device fans SMs out as
 # goroutines with per-SM scratch, and the engine A/B matrices in gpusim,
 # kernels and fleet drive both engines across every interleaving-sensitive
-# path (resident windows, work stealing, multi-GPU fan-out).
+# path (resident windows, work stealing, multi-device fan-out).
 # UnchangedByEvaluator replays the evaluator's stencil runs against the
 # closure's single loads on the same per-SM scratch.
 test-gpu-race:

@@ -135,23 +135,6 @@ func NewPredictive(dev *Device) *kernels.Predictive { return kernels.NewPredicti
 // for cross-generation studies.
 func PascalP100() DeviceConfig { return gpusim.PascalP100() }
 
-// NewMultiGPU runs the selected kernel data-parallel across several
-// simulated devices (strong scaling over grid-row bands).
-func NewMultiGPU(k Kernel, devices int) Algorithm {
-	return kernels.NewMultiGPU(devices, func(int) kernels.Algorithm {
-		return NewKernel(k)
-	})
-}
-
-// NewMultiGPUOn is NewMultiGPU with caller-supplied devices: mkDev is
-// invoked once per device index, so profilers and telemetry recorders can
-// be attached to each device before its kernel is built.
-func NewMultiGPUOn(k Kernel, devices int, mkDev func(d int) *Device) Algorithm {
-	return kernels.NewMultiGPU(devices, func(d int) kernels.Algorithm {
-		return NewKernelOn(k, mkDev(d))
-	})
-}
-
 // NewFleet runs the selected kernel across a managed device fleet with
 // dynamic, cost-predicted band scheduling (see internal/fleet): the grid
 // is over-decomposed into more row-bands than devices, bands are placed
@@ -166,7 +149,7 @@ func NewFleet(k Kernel, devices int, seed uint64) Algorithm {
 	}
 	return fleet.New(fleet.Config{
 		Manager: fleet.NewFixed(devs),
-		MakeKernel: func(id int, dev *Device) kernels.Algorithm {
+		MakeKernel: func(dev *Device) kernels.Algorithm {
 			return NewKernelOn(k, dev)
 		},
 		Seed: seed,

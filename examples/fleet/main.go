@@ -37,7 +37,7 @@ func main() {
 	mgr := fleet.NewInjectable(devs, events)
 	fl := fleet.New(fleet.Config{
 		Manager: mgr,
-		MakeKernel: func(id int, dev *gpusim.Device) beamdyn.Algorithm {
+		MakeKernel: func(dev *gpusim.Device) beamdyn.Algorithm {
 			return beamdyn.NewKernelOn(beamdyn.TwoPhaseRP, dev)
 		},
 		Seed: 1,

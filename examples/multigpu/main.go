@@ -1,5 +1,5 @@
-// Multi-GPU strong scaling: run the Predictive-RP kernel data-parallel
-// across 1, 2 and 4 simulated K40s on a fixed problem. The rp-integral is
+// Multi-GPU strong scaling: run the Predictive-RP kernel across a fleet of
+// 1, 2 and 4 simulated K40s on a fixed problem. The rp-integral is
 // embarrassingly parallel over grid points, so the speedup tracks the
 // device count until per-device occupancy runs out.
 package main
@@ -19,7 +19,7 @@ func main() {
 	var base float64
 	for _, devices := range []int{1, 2, 4} {
 		sim := beamdyn.New(cfg)
-		sim.Algo = beamdyn.NewMultiGPU(beamdyn.PredictiveRP, devices)
+		sim.Algo = beamdyn.NewFleet(beamdyn.PredictiveRP, devices, 1)
 		sim.Warmup()
 		sim.Advance() // warm cross-step state
 		sim.Advance()

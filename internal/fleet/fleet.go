@@ -2,12 +2,12 @@
 // abstraction with lifecycle states, injectable health events, and a
 // cost-predicting dynamic scheduler for the compute-potentials stage.
 //
-// The static kernels.MultiGPU split (one contiguous row-band per device)
-// assumes every device is healthy, equally fast, and that every band costs
-// the same. None of those hold in a production fleet: devices fail
-// mid-step, run degraded, or get drained for maintenance, and the
-// rp-integral's cost is wildly non-uniform across grid rows. This package
-// supplies the production arrangement:
+// A static split (one contiguous row-band per device) assumes every
+// device is healthy, equally fast, and that every band costs the same.
+// None of those hold in a production fleet: devices fail mid-step, run
+// degraded, or get drained for maintenance, and the rp-integral's cost is
+// wildly non-uniform across grid rows. This package supplies the one
+// multi-device arrangement:
 //
 //   - Manager — a device registry holding *gpusim.Device handles with the
 //     lifecycle states Healthy / Degraded / Draining / Failed. Fixed is
@@ -16,12 +16,13 @@
 //     (mid-step failure, slowdown factor, recover-at-step) in the style
 //     of GPU-manager fakes used by fleet-management systems.
 //   - Fleet — a kernels.Algorithm that over-decomposes the target grid
-//     into many more row-bands than devices, orders and places them by
-//     predicted cost (the Predictive kernel's forecast access-pattern
-//     totals when a trained model is attached, last-step measured band
+//     into row-bands (as many as devices, or more), keeps one kernel per
+//     band so each band learns only from its own history, orders and
+//     places the bands by predicted cost (each band's Predictive forecast
+//     of its access-pattern totals when trained, last-step measured band
 //     cost otherwise), dispatches them through per-device work queues
 //     with work stealing, and retries bands whose device fails mid-step
-//     on surviving devices.
+//     on surviving devices. Grids do not depend on where a band ran.
 //
 // Every stochastic choice the scheduler makes (steal victim, retry
 // placement) draws from an explicitly seeded generator, so runs are
@@ -112,7 +113,8 @@ type Manager interface {
 	// ErrUnavailable without calling fn when the device cannot accept
 	// work, and ErrMidBand after calling fn when the device failed while
 	// the band ran (the caller must discard fn's results and retry the
-	// band elsewhere).
+	// band elsewhere). A device that fails during the band is already
+	// Failed while fn runs, so fn can tell its results will be lost.
 	ExecBand(id int, fn func(dev *gpusim.Device)) error
 	// SetState administratively transitions device id (e.g. draining a
 	// device for maintenance).

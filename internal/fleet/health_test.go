@@ -12,7 +12,7 @@ func TestFleetHealthReportsStatesAndUtilization(t *testing.T) {
 	mgr.SetState(1, Degraded, "thermal throttling")
 	mgr.SetSlowdown(1, 2)
 	mgr.SetState(2, Draining, "maintenance")
-	fl := newStubFleet(mgr, 6, func(id int) *stubAlgo { return &stubAlgo{} })
+	fl := newStubFleet(mgr, 6, nil)
 
 	// Before any step: states are live, load figures are zero.
 	h := fl.Health()
@@ -62,7 +62,7 @@ func TestFleetHealthReportsStatesAndUtilization(t *testing.T) {
 func TestFleetEmitsPerDeviceTraceEvents(t *testing.T) {
 	var sink obs.MemorySink
 	o := &obs.Observer{Trace: obs.NewTracer(&sink), Reg: obs.NewRegistry()}
-	fl := newStubFleet(NewFixed(testDevices(2)), 4, func(id int) *stubAlgo { return &stubAlgo{} })
+	fl := newStubFleet(NewFixed(testDevices(2)), 4, nil)
 	fl.SetObserver(o)
 
 	target := grid.New(4, 8, 1, 0, 0, 1, 1)

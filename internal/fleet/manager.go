@@ -222,29 +222,33 @@ func (m *Injectable) BeginStep(step int) {
 	}
 }
 
-// ExecBand implements Manager: the band runs, then any scripted mid-step
-// failure whose band count was just reached kills the device and voids
-// the band.
+// ExecBand implements Manager. A scripted mid-step failure whose band
+// count this band reaches kills the device as the band starts: fn still
+// runs (the device stays busy until it dies), sees the device Failed, and
+// the band comes back voided with ErrMidBand.
 func (m *Injectable) ExecBand(id int, fn func(dev *gpusim.Device)) error {
 	m.check(id)
 	m.mu.Lock()
 	st := m.state[id]
-	m.mu.Unlock()
 	if !st.Schedulable() {
+		m.mu.Unlock()
 		return fmt.Errorf("fleet: device %d is %s: %w", id, st, ErrUnavailable)
 	}
-	fn(m.devs[id])
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.bandsDone[id]++
+	lost := false
 	for i := range m.events {
 		ev := &m.events[i]
 		if ev.Kind == EventFail && !ev.fired && ev.After > 0 &&
 			ev.Device == id && ev.Step == m.step && m.bandsDone[id] >= ev.After {
 			m.setStateLocked(id, Failed, "scripted mid-step failure")
 			ev.fired = true
-			return fmt.Errorf("fleet: device %d: %w", id, ErrMidBand)
+			lost = true
 		}
+	}
+	m.mu.Unlock()
+	fn(m.devs[id])
+	if lost {
+		return fmt.Errorf("fleet: device %d: %w", id, ErrMidBand)
 	}
 	return nil
 }

@@ -18,9 +18,11 @@ import (
 type Config struct {
 	// Manager is the device registry the scheduler runs against.
 	Manager Manager
-	// MakeKernel builds the per-device kernel bound to device id's
-	// handle; it is invoked once per registered device.
-	MakeKernel func(id int, dev *gpusim.Device) kernels.Algorithm
+	// MakeKernel builds one band's kernel, bound to dev. It is invoked
+	// once per band: the kernel owns the band's learned state, and the
+	// scheduler rebinds it (kernels.Rebindable) to whichever device runs
+	// the band, so a band forecasts only from its own history.
+	MakeKernel func(dev *gpusim.Device) kernels.Algorithm
 	// Bands fixes the total row-band count of the over-decomposition.
 	// 0 derives it as BandsPerDevice * NumDevices. Holding Bands constant
 	// across device counts makes the per-band numerics identical, which
@@ -68,12 +70,11 @@ func (s Stats) Utilization(d int) float64 {
 // Fleet runs a compute-potentials kernel across a managed device fleet
 // with dynamic, cost-predicted band scheduling. It implements
 // kernels.Algorithm, so it drops into core.Simulation, the benches and
-// the experiments harness wherever a single-device kernel or a static
-// kernels.MultiGPU would.
+// the experiments harness wherever a single-device kernel would.
 type Fleet struct {
 	cfg   Config
 	mgr   Manager
-	algos []kernels.Algorithm
+	algos []kernels.Algorithm // one kernel per band, in band order
 	obs   *obs.Observer
 
 	// rowCost is the measured per-row simulated cost of the previous
@@ -96,16 +97,24 @@ func New(cfg Config) *Fleet {
 		panic("fleet: Config.MakeKernel is nil")
 	}
 	n := cfg.Manager.NumDevices()
-	f := &Fleet{cfg: cfg, mgr: cfg.Manager}
-	for id := 0; id < n; id++ {
-		f.algos = append(f.algos, cfg.MakeKernel(id, cfg.Manager.Device(id)))
+	nb := cfg.Bands
+	if nb <= 0 {
+		per := cfg.BandsPerDevice
+		if per <= 0 {
+			per = 4
+		}
+		nb = per * n
+	}
+	f := &Fleet{cfg: cfg, mgr: cfg.Manager, algos: make([]kernels.Algorithm, nb)}
+	for b := range f.algos {
+		f.algos[b] = cfg.MakeKernel(cfg.Manager.Device(b % n))
 	}
 	return f
 }
 
 // Name implements kernels.Algorithm.
 func (f *Fleet) Name() string {
-	return fmt.Sprintf("Fleet[%s x%d]", f.algos[0].Name(), len(f.algos))
+	return fmt.Sprintf("Fleet[%s x%d]", f.algos[0].Name(), f.mgr.NumDevices())
 }
 
 // Reset implements kernels.Algorithm.
@@ -117,7 +126,7 @@ func (f *Fleet) Reset() {
 }
 
 // SetObserver implements kernels.Observable, forwarding the telemetry
-// layer to every per-device kernel.
+// layer to every band's kernel.
 func (f *Fleet) SetObserver(o *obs.Observer) {
 	f.obs = o
 	for _, a := range f.algos {
@@ -128,7 +137,7 @@ func (f *Fleet) SetObserver(o *obs.Observer) {
 }
 
 // SetHostWorkers implements kernels.HostParallel, forwarding the host
-// worker budget to every per-device kernel that supports it.
+// worker budget to every band's kernel that supports it.
 func (f *Fleet) SetHostWorkers(n int) {
 	for _, a := range f.algos {
 		if hp, ok := a.(kernels.HostParallel); ok {
@@ -235,19 +244,11 @@ func (f *Fleet) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.St
 	return agg
 }
 
-// decompose splits the target's rows into the configured number of
-// contiguous bands, each at least two rows tall (the grid minimum), sizes
-// differing by at most one row.
+// decompose splits the target's rows into one contiguous band per band
+// kernel, each at least two rows tall (the grid minimum), sizes differing
+// by at most one row.
 func (f *Fleet) decompose(target *grid.Grid) []*bandTask {
-	nb := f.cfg.Bands
-	if nb <= 0 {
-		per := f.cfg.BandsPerDevice
-		if per <= 0 {
-			per = 4
-		}
-		nb = per * f.mgr.NumDevices()
-	}
-	bounds := kernels.BandSplit(target.NY, nb)
+	bounds := BandSplit(target.NY, len(f.algos))
 	tasks := make([]*bandTask, 0, len(bounds))
 	for i, b := range bounds {
 		tasks = append(tasks, &bandTask{index: i, lo: b[0], hi: b[1]})
@@ -255,31 +256,65 @@ func (f *Fleet) decompose(target *grid.Grid) []*bandTask {
 	return tasks
 }
 
-// applyCosts fills each band's predicted cost: a trained forecaster's
-// per-row access-pattern totals when a per-device kernel offers one, the
-// previous step's measured per-row cost otherwise, uniform row counts as
-// the bootstrap.
+// BandSplit splits ny rows into at most want contiguous bands of at least
+// two rows each (the grid minimum), sizes differing by at most one row.
+// It returns the [lo, hi) bounds in row order. Fewer than want bands come
+// back when ny cannot feed them all, rather than sub-minimal grids.
+func BandSplit(ny, want int) [][2]int {
+	if want < 1 {
+		want = 1
+	}
+	if max := ny / 2; want > max {
+		want = max
+	}
+	if want < 1 {
+		want = 1
+	}
+	base, rem := ny/want, ny%want
+	out := make([][2]int, 0, want)
+	lo := 0
+	for i := 0; i < want; i++ {
+		h := base
+		if i < rem {
+			h++
+		}
+		out = append(out, [2]int{lo, lo + h})
+		lo += h
+	}
+	return out
+}
+
+// applyCosts fills each band's predicted cost: the per-row access-pattern
+// totals its own kernel forecasts when every band's kernel has a trained
+// forecast, the previous step's measured per-row cost otherwise, uniform
+// row counts as the bootstrap.
 func (f *Fleet) applyCosts(p *retard.Problem, target *grid.Grid, tasks []*bandTask) {
-	var rows []float64
-	source := "uniform"
-	for _, a := range f.algos {
-		if cf, ok := a.(kernels.CostForecaster); ok {
-			if rc := cf.ForecastRowCosts(p, target); len(rc) == target.NY {
-				rows, source = rc, "forecast"
-				break
-			}
+	source := "forecast"
+	for _, t := range tasks {
+		var rc []float64
+		if cf, ok := f.algos[t.index].(kernels.CostForecaster); ok {
+			rc = cf.ForecastRowCosts(p, t.band)
+		}
+		if len(rc) != t.hi-t.lo {
+			source = "uniform"
+			break
+		}
+		for _, c := range rc {
+			t.cost += c
 		}
 	}
-	if rows == nil && len(f.rowCost) == target.NY {
-		rows, source = f.rowCost, "measured"
+	if source == "uniform" && len(f.rowCost) == target.NY {
+		source = "measured"
 	}
 	for _, t := range tasks {
-		if rows == nil {
+		switch source {
+		case "measured":
+			t.cost = 0
+			for iy := t.lo; iy < t.hi; iy++ {
+				t.cost += f.rowCost[iy]
+			}
+		case "uniform":
 			t.cost = float64(t.hi - t.lo)
-			continue
-		}
-		for iy := t.lo; iy < t.hi; iy++ {
-			t.cost += rows[iy]
 		}
 	}
 	if f.obs != nil && f.obs.Reg != nil {
@@ -326,16 +361,27 @@ func (f *Fleet) worker(r *fleetRun, d int, p *retard.Problem, target *grid.Grid,
 			return
 		}
 		// Each band executes under its own child span of fleet/step; the
-		// per-device kernel is re-scoped so its sub-phase spans parent
-		// under the band. Worker d is the only goroutine touching
-		// f.algos[d], so the re-scope is race-free.
+		// band's kernel is re-scoped so its sub-phase spans parent under
+		// the band, then rebound to this worker's device. Only the worker
+		// holding the band touches its kernel, so both are race-free.
 		bsp := r.scope.Span("fleet/band", r.step)
-		if ob, ok := f.algos[d].(kernels.Observable); ok {
+		k := f.algos[t.index]
+		if ob, ok := k.(kernels.Observable); ok {
 			ob.SetObserver(bsp.Scope())
 		}
 		var res *kernels.StepResult
 		err := f.mgr.ExecBand(d, func(dev *gpusim.Device) {
-			res = f.algos[d].Step(p, t.band, comp)
+			if f.mgr.State(d) == Failed {
+				// The device dies during this band and its results never
+				// reach the host: run the lost attempt on a scratch kernel
+				// so the band's learned state is intact for the retry.
+				res = f.cfg.MakeKernel(dev).Step(p, t.band, comp)
+				return
+			}
+			if rb, ok := k.(kernels.Rebindable); ok {
+				rb.SetDevice(dev)
+			}
+			res = k.Step(p, t.band, comp)
 		})
 		if res != nil {
 			// Even a doomed attempt kept the device busy until it died.
@@ -441,6 +487,9 @@ func (f *Fleet) reassemble(target *grid.Grid, comp int, tasks []*bandTask, busy 
 		agg.Host.Clustering += res.Host.Clustering
 		agg.Host.Predict += res.Host.Predict
 		agg.Host.Train += res.Host.Train
+		agg.Host.ClusteringAllocs += res.Host.ClusteringAllocs
+		agg.Host.PredictAllocs += res.Host.PredictAllocs
+		agg.Host.TrainAllocs += res.Host.TrainAllocs
 		agg.FallbackEntries += res.FallbackEntries
 		agg.Launches += res.Launches
 		if len(res.FallbackBySubregion) > 0 {

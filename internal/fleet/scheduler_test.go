@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func fixture(steps, nx int) (*retard.Problem, *grid.Grid) {
 func newTwoPhaseFleet(mgr Manager, bands int, seed uint64) *Fleet {
 	return New(Config{
 		Manager: mgr,
-		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
 			return kernels.NewTwoPhase(dev)
 		},
 		Bands: bands,
@@ -105,6 +106,32 @@ func TestFleetMatchesReference(t *testing.T) {
 	st := fl.LastStats()
 	if st.Bands != 8 { // BandsPerDevice default 4 x 2 devices
 		t.Fatalf("bands = %d, want 8", st.Bands)
+	}
+
+	// A four-device Predictive fleet, one band per device, stays within
+	// tolerance once its band kernels have trained.
+	pf := New(Config{
+		Manager: NewFixed(testDevices(4)),
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+			return kernels.NewPredictive(dev)
+		},
+		Bands: 4,
+		Seed:  1,
+	})
+	pf.Step(p, target.Clone(), 0) // bootstrap
+	out = target.Clone()
+	res = pf.Step(p, out, 0)
+	worst = 0
+	for i := range ref.Data {
+		if d := math.Abs(ref.Data[i]-out.Data[i]) / scale; d > worst {
+			worst = d
+		}
+	}
+	if worst > 0.02 {
+		t.Fatalf("predictive fleet potentials deviate from reference by %g", worst)
+	}
+	if len(res.Points) != 24*24 {
+		t.Fatalf("predictive fleet points = %d, want %d", len(res.Points), 24*24)
 	}
 }
 
@@ -205,21 +232,29 @@ func TestFleetDeterministicUnderSeed(t *testing.T) {
 }
 
 // stubAlgo is a scripted kernels.Algorithm for scheduler-only tests: it
-// writes a row sentinel, reports unit simulated time, and can sleep.
+// writes a row sentinel and reports unit simulated time. The fleet
+// rebinds it to the device running each band (SetDevice), and onStep
+// receives that device's index, so per-device behaviour (host sleeps,
+// call counts, simulated time) follows the executing device rather than
+// the band.
 type stubAlgo struct {
-	sleep time.Duration
-	calls *atomic.Int32
+	mgr    Manager
+	dev    *gpusim.Device
+	onStep func(dev int) (simTime float64)
 }
 
-func (s *stubAlgo) Name() string { return "stub" }
-func (s *stubAlgo) Reset()       {}
+func (s *stubAlgo) Name() string                 { return "stub" }
+func (s *stubAlgo) Reset()                       {}
+func (s *stubAlgo) SetDevice(dev *gpusim.Device) { s.dev = dev }
 
 func (s *stubAlgo) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.StepResult {
-	if s.calls != nil {
-		s.calls.Add(1)
-	}
-	if s.sleep > 0 {
-		time.Sleep(s.sleep)
+	simTime := 1.0
+	if s.onStep != nil {
+		d := 0
+		for d < s.mgr.NumDevices() && s.mgr.Device(d) != s.dev {
+			d++
+		}
+		simTime = s.onStep(d)
 	}
 	for iy := 0; iy < target.NY; iy++ {
 		for ix := 0; ix < target.NX; ix++ {
@@ -227,17 +262,18 @@ func (s *stubAlgo) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels
 		}
 	}
 	res := &kernels.StepResult{Points: make([]kernels.Point, target.NX*target.NY)}
-	res.Metrics.Time = 1
+	res.Metrics.Time = simTime
 	return res
 }
 
 // newStubFleet builds a Fleet of stubs over a sentinel-friendly grid
-// (Y0=0, DY=1, so the expected row value is exactly float64(row)).
-func newStubFleet(mgr Manager, bands int, mk func(id int) *stubAlgo) *Fleet {
+// (Y0=0, DY=1, so the expected row value is exactly float64(row)); onStep
+// may be nil.
+func newStubFleet(mgr Manager, bands int, onStep func(dev int) float64) *Fleet {
 	return New(Config{
 		Manager: mgr,
-		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
-			return mk(id)
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+			return &stubAlgo{mgr: mgr, dev: dev, onStep: onStep}
 		},
 		Bands: bands,
 		Seed:  7,
@@ -265,11 +301,12 @@ func TestFleetBandEdgeCases(t *testing.T) {
 		{"rows not divisible by bands", 7, 2, 3},
 		{"single device degenerate", 12, 1, 0},
 		{"more bands than rows allow", 8, 2, 100},
+		{"two-row minimum caps bands", 5, 3, 3},
+		{"even split", 16, 4, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fl := newStubFleet(NewFixed(testDevices(tc.devices)), tc.bands,
-				func(int) *stubAlgo { return &stubAlgo{} })
+			fl := newStubFleet(NewFixed(testDevices(tc.devices)), tc.bands, nil)
 			target := grid.New(4, tc.ny, 1, 0, 0, 1, 1)
 			res := fl.Step(nil, target, 0)
 			assertFullTarget(t, target)
@@ -281,14 +318,17 @@ func TestFleetBandEdgeCases(t *testing.T) {
 }
 
 func TestFleetWorkStealing(t *testing.T) {
-	// Device 0 is slow on the host (its kernel sleeps), so device 1 drains
-	// its own queue and steals from device 0's backlog.
+	// Device 0 is slow on the host (bands it runs sleep), so device 1
+	// drains its own queue and steals from device 0's backlog.
 	var slowCalls, fastCalls atomic.Int32
-	fl := newStubFleet(NewFixed(testDevices(2)), 8, func(id int) *stubAlgo {
-		if id == 0 {
-			return &stubAlgo{sleep: 30 * time.Millisecond, calls: &slowCalls}
+	fl := newStubFleet(NewFixed(testDevices(2)), 8, func(dev int) float64 {
+		if dev == 0 {
+			slowCalls.Add(1)
+			time.Sleep(30 * time.Millisecond)
+		} else {
+			fastCalls.Add(1)
 		}
-		return &stubAlgo{calls: &fastCalls}
+		return 1
 	})
 	target := grid.New(4, 16, 1, 0, 0, 1, 1)
 	fl.Step(nil, target, 0)
@@ -310,8 +350,9 @@ func TestFleetSkipsUnschedulableDevices(t *testing.T) {
 	mgr := NewFixed(testDevices(3))
 	mgr.SetState(2, Draining, "maintenance")
 	var calls [3]atomic.Int32
-	fl := newStubFleet(mgr, 6, func(id int) *stubAlgo {
-		return &stubAlgo{calls: &calls[id]}
+	fl := newStubFleet(mgr, 6, func(dev int) float64 {
+		calls[dev].Add(1)
+		return 1
 	})
 	target := grid.New(4, 12, 1, 0, 0, 1, 1)
 	fl.Step(nil, target, 0)
@@ -326,19 +367,19 @@ func TestFleetSkipsUnschedulableDevices(t *testing.T) {
 
 func TestFleetDegradedDeviceGetsLessWork(t *testing.T) {
 	// With uniform costs, the LPT placement charges the 4x-degraded device
-	// four simulated seconds per band, so it receives far fewer bands. The
-	// degraded stub also sleeps on the host (a slow device is slow in wall
-	// time too), so stealing cannot shift the imbalance back.
+	// four simulated seconds per band, so it receives far fewer bands. Bands
+	// on the degraded device also sleep on the host (a slow device is slow
+	// in wall time too), so stealing cannot shift the imbalance back.
 	mgr := NewFixed(testDevices(2))
 	mgr.SetState(1, Degraded, "thermal throttling")
 	mgr.SetSlowdown(1, 4)
 	var calls [2]atomic.Int32
-	fl := newStubFleet(mgr, 8, func(id int) *stubAlgo {
-		s := &stubAlgo{calls: &calls[id]}
-		if id == 1 {
-			s.sleep = 10 * time.Millisecond
+	fl := newStubFleet(mgr, 8, func(dev int) float64 {
+		calls[dev].Add(1)
+		if dev == 1 {
+			time.Sleep(10 * time.Millisecond)
 		}
-		return s
+		return 1
 	})
 	target := grid.New(4, 16, 1, 0, 0, 1, 1)
 	fl.Step(nil, target, 0)
@@ -354,25 +395,25 @@ func TestFleetDegradedDeviceGetsLessWork(t *testing.T) {
 }
 
 // forecastStub is a stub kernel that also forecasts row costs, standing in
-// for a trained Predictive kernel.
+// for a trained Predictive kernel: one cost per row of the band it is
+// asked about, growing with the row's global index.
 type forecastStub struct {
 	stubAlgo
-	rows []float64
 }
 
 func (f *forecastStub) ForecastRowCosts(p *retard.Problem, target *grid.Grid) []float64 {
-	return f.rows
+	rows := make([]float64, target.NY)
+	for iy := range rows {
+		rows[iy] = 1 + target.Y0 + float64(iy)*target.DY
+	}
+	return rows
 }
 
 func TestFleetUsesCostForecast(t *testing.T) {
-	rows := make([]float64, 16)
-	for i := range rows {
-		rows[i] = float64(1 + i)
-	}
 	fl := New(Config{
 		Manager: NewFixed(testDevices(2)),
-		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
-			return &forecastStub{rows: rows}
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+			return &forecastStub{}
 		},
 		Bands: 4,
 		Seed:  1,
@@ -389,7 +430,7 @@ func TestFleetUsesCostForecast(t *testing.T) {
 
 	// A fleet without a forecaster bootstraps with uniform costs, then
 	// falls back to the previous step's measured band costs.
-	fl2 := newStubFleet(NewFixed(testDevices(2)), 4, func(int) *stubAlgo { return &stubAlgo{} })
+	fl2 := newStubFleet(NewFixed(testDevices(2)), 4, nil)
 	fl2.SetObserver(observer)
 	fl2.Step(nil, target, 0)
 	fl2.Step(nil, target, 0)
@@ -413,11 +454,216 @@ func TestFleetNameAndReset(t *testing.T) {
 func TestFleetPanicsWhenNoDevicesSchedulable(t *testing.T) {
 	mgr := NewFixed(testDevices(1))
 	mgr.SetState(0, Failed, "dead on arrival")
-	fl := newStubFleet(mgr, 2, func(int) *stubAlgo { return &stubAlgo{} })
+	fl := newStubFleet(mgr, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling onto an all-failed fleet did not panic")
 		}
 	}()
 	fl.Step(nil, grid.New(4, 8, 1, 0, 0, 1, 1), 0)
+}
+
+// TestFleetScales is the strong-scaling check: four devices with one band
+// each finish a trained Predictive step at least twice as fast in
+// simulated time as one device.
+func TestFleetScales(t *testing.T) {
+	p, target := fixture(8, 48)
+	time := func(devices int) float64 {
+		fl := New(Config{
+			Manager: NewFixed(testDevices(devices)),
+			MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+				return kernels.NewPredictive(dev)
+			},
+			Bands: devices,
+			Seed:  1,
+		})
+		fl.Step(p, target.Clone(), 0)
+		res := fl.Step(p, target.Clone(), 0)
+		return res.Metrics.Time
+	}
+	t1 := time(1)
+	t4 := time(4)
+	speedup := t1 / t4
+	if speedup < 2 {
+		t.Fatalf("4-device speedup %.2f, want >= 2 (t1=%g t4=%g)", speedup, t1, t4)
+	}
+	if speedup > 4.5 {
+		t.Fatalf("super-linear speedup %.2f is implausible", speedup)
+	}
+}
+
+func TestFleetTimeIsMaxNotSum(t *testing.T) {
+	// Device d's bands take d+1 simulated seconds. Every band sleeps on
+	// the host long enough that each worker takes its own queue head
+	// before any worker could go stealing, so each device runs one band.
+	fl := newStubFleet(NewFixed(testDevices(4)), 4, func(dev int) float64 {
+		time.Sleep(20 * time.Millisecond)
+		return float64(dev + 1)
+	})
+	target := grid.New(8, 16, 1, 0, 0, 1, 1)
+	res := fl.Step(nil, target, 0)
+	// Devices run concurrently in simulated time: the aggregate is the
+	// slowest device (4), not the sum (10).
+	if res.Metrics.Time != 4 {
+		t.Fatalf("aggregated Metrics.Time = %g, want max 4 (sum would be 10); stats %+v",
+			res.Metrics.Time, fl.LastStats())
+	}
+	assertFullTarget(t, target)
+}
+
+func TestFleetBandsRunConcurrently(t *testing.T) {
+	var running, peak atomic.Int32
+	const devices = 4
+	fl := newStubFleet(NewFixed(testDevices(devices)), devices, func(int) float64 {
+		n := running.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		running.Add(-1)
+		return 1
+	})
+	target := grid.New(8, 16, 1, 0, 0, 1, 1)
+	t0 := time.Now()
+	fl.Step(nil, target, 0)
+	wall := time.Since(t0)
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("peak concurrent band Steps = %d, want >= 2", p)
+	}
+	// Sequential execution would take >= devices * sleep = 200ms.
+	if wall >= devices*50*time.Millisecond {
+		t.Fatalf("wall time %v not faster than sequential execution", wall)
+	}
+	assertFullTarget(t, target)
+}
+
+func TestFleetForwardsObserver(t *testing.T) {
+	p, target := fixture(8, 24)
+	fl := New(Config{
+		Manager: NewFixed(testDevices(2)),
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+			return kernels.NewPredictive(dev)
+		},
+		Bands: 2,
+		Seed:  1,
+	})
+	o := obs.New()
+	fl.SetObserver(o)
+	fl.Step(p, target.Clone(), 0)
+	if len(o.Pred.Samples()) != 2 {
+		t.Fatalf("per-band samples = %d, want 2", len(o.Pred.Samples()))
+	}
+}
+
+// recordingKernel is a Predictive kernel that keeps every StepResult it
+// returns, so tests can compare the fleet aggregate with its bands.
+type recordingKernel struct {
+	*kernels.Predictive
+	mu      *sync.Mutex
+	results *[]*kernels.StepResult
+}
+
+func (r recordingKernel) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.StepResult {
+	res := r.Predictive.Step(p, target, comp)
+	r.mu.Lock()
+	*r.results = append(*r.results, res)
+	r.mu.Unlock()
+	return res
+}
+
+// TestFleetSumsHostAllocs checks that the aggregate step result carries
+// the per-phase host allocation counts of its bands, not only their
+// times.
+func TestFleetSumsHostAllocs(t *testing.T) {
+	kernels.CountHostAllocs = true
+	defer func() { kernels.CountHostAllocs = false }()
+	p, target := fixture(8, 24)
+	var mu sync.Mutex
+	var bands []*kernels.StepResult
+	fl := New(Config{
+		Manager: NewFixed(testDevices(2)),
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
+			return recordingKernel{Predictive: kernels.NewPredictive(dev), mu: &mu, results: &bands}
+		},
+		Bands: 4,
+		Seed:  1,
+	})
+	res := fl.Step(p, target.Clone(), 0)
+	if len(bands) != 4 {
+		t.Fatalf("recorded %d band results, want 4", len(bands))
+	}
+	var want kernels.HostTimes
+	for _, b := range bands {
+		want.PredictAllocs += b.Host.PredictAllocs
+		want.ClusteringAllocs += b.Host.ClusteringAllocs
+		want.TrainAllocs += b.Host.TrainAllocs
+	}
+	if want.PredictAllocs+want.ClusteringAllocs+want.TrainAllocs == 0 {
+		t.Fatal("bands counted no host allocations; the check would be vacuous")
+	}
+	got := res.Host
+	if got.PredictAllocs != want.PredictAllocs || got.ClusteringAllocs != want.ClusteringAllocs ||
+		got.TrainAllocs != want.TrainAllocs {
+		t.Fatalf("aggregate host allocs predict/cluster/train = %d/%d/%d, want band sums %d/%d/%d",
+			got.PredictAllocs, got.ClusteringAllocs, got.TrainAllocs,
+			want.PredictAllocs, want.ClusteringAllocs, want.TrainAllocs)
+	}
+}
+
+func TestBandSplit(t *testing.T) {
+	cases := []struct {
+		ny, want int
+		bands    [][2]int
+	}{
+		{16, 4, [][2]int{{0, 4}, {4, 8}, {8, 12}, {12, 16}}},
+		{7, 3, [][2]int{{0, 3}, {3, 5}, {5, 7}}},
+		{3, 4, [][2]int{{0, 3}}},         // can't give 4 devices >= 2 rows each
+		{5, 3, [][2]int{{0, 3}, {3, 5}}}, // capped at NY/2 bands
+		{2, 5, [][2]int{{0, 2}}},         // minimum grid
+		{10, 0, [][2]int{{0, 10}}},       // degenerate request
+		{64, 8, nil},                     // checked structurally below
+	}
+	for _, tc := range cases {
+		got := BandSplit(tc.ny, tc.want)
+		// Structural invariants: contiguous cover of [0, ny), every band
+		// at least 2 rows (unless ny < 4 forces a single band), sizes
+		// within one row of each other.
+		lo := 0
+		minH, maxH := tc.ny, 0
+		for _, b := range got {
+			if b[0] != lo {
+				t.Fatalf("BandSplit(%d,%d): band %v not contiguous at %d", tc.ny, tc.want, b, lo)
+			}
+			h := b[1] - b[0]
+			if h < 2 && len(got) > 1 {
+				t.Fatalf("BandSplit(%d,%d): band %v below 2-row minimum", tc.ny, tc.want, b)
+			}
+			if h < minH {
+				minH = h
+			}
+			if h > maxH {
+				maxH = h
+			}
+			lo = b[1]
+		}
+		if lo != tc.ny {
+			t.Fatalf("BandSplit(%d,%d): covers [0,%d), want [0,%d)", tc.ny, tc.want, lo, tc.ny)
+		}
+		if maxH-minH > 1 {
+			t.Fatalf("BandSplit(%d,%d): unbalanced band heights %d..%d", tc.ny, tc.want, minH, maxH)
+		}
+		if tc.bands != nil {
+			if len(got) != len(tc.bands) {
+				t.Fatalf("BandSplit(%d,%d) = %v, want %v", tc.ny, tc.want, got, tc.bands)
+			}
+			for i := range got {
+				if got[i] != tc.bands[i] {
+					t.Fatalf("BandSplit(%d,%d) = %v, want %v", tc.ny, tc.want, got, tc.bands)
+				}
+			}
+		}
+	}
 }

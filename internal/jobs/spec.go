@@ -350,7 +350,7 @@ func (sp *Spec) BuildAlgo(newDev func(id int) *gpusim.Device, firstAttempt bool)
 	}
 	fl := fleet.New(fleet.Config{
 		Manager:    mgr,
-		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm { return mk(dev) },
+		MakeKernel: mk,
 		Bands:      sp.Fleet.Bands,
 		Seed:       sp.Seed,
 	})

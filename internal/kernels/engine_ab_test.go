@@ -73,37 +73,3 @@ func TestKernelsEngineEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiGPUEngineEquivalence runs the band-decomposed multi-GPU kernel
-// with every device on one engine, then the other: the aggregated Metrics
-// (deterministic — per-device modelled times, reassembled in band order)
-// and output grids must match exactly.
-func TestMultiGPUEngineEquivalence(t *testing.T) {
-	p, target := fixture(8, 16)
-
-	run := func(engine gpusim.Engine) (*StepResult, []float64) {
-		mg := NewMultiGPU(2, func(int) Algorithm {
-			dev := gpusim.New(gpusim.KeplerK40())
-			dev.SetEngine(engine)
-			return NewTwoPhase(dev)
-		})
-		tg := target.Clone()
-		res := mg.Step(p, tg, 0)
-		return res, append([]float64(nil), tg.Data...)
-	}
-
-	sres, sdata := run(gpusim.EngineStreaming)
-	ores, odata := run(gpusim.EngineOracle)
-	for i := range sdata {
-		if sdata[i] != odata[i] {
-			t.Fatalf("grid datum %d = %v streaming, %v oracle", i, sdata[i], odata[i])
-		}
-	}
-	if sres.Metrics != ores.Metrics {
-		t.Fatalf("multigpu Metrics diverge\nstreaming: %+v\noracle:    %+v", sres.Metrics, ores.Metrics)
-	}
-	if sres.Fixed != ores.Fixed || sres.Adaptive != ores.Adaptive {
-		t.Fatalf("multigpu phase Metrics diverge\nstreaming: %+v / %+v\noracle:    %+v / %+v",
-			sres.Fixed, sres.Adaptive, ores.Fixed, ores.Adaptive)
-	}
-}

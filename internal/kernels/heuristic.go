@@ -49,6 +49,9 @@ func (h *Heuristic) SetObserver(o *obs.Observer) { h.obs = o }
 // SetHostWorkers implements HostParallel.
 func (h *Heuristic) SetHostWorkers(n int) { h.HostWorkers = n }
 
+// SetDevice implements Rebindable.
+func (h *Heuristic) SetDevice(dev *gpusim.Device) { h.Dev = dev }
+
 // NewHeuristic returns the kernel with the configuration of [10]: 32x4
 // spatial tiles (fine enough for SM load balance, wide enough for warp
 // coalescing).

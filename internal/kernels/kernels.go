@@ -115,12 +115,20 @@ func hostAllocCount() uint64 {
 
 // HostParallel is implemented by kernels whose host-side stages run on the
 // deterministic worker pool of internal/hostpar. SetHostWorkers bounds the
-// worker count (values <= 0 mean runtime.GOMAXPROCS); wrappers (MultiGPU,
-// fleet schedulers) forward the setting to their per-device kernels. Every
+// worker count (values <= 0 mean runtime.GOMAXPROCS); the fleet scheduler
+// forwards the setting to its per-band kernels. Every
 // host loop partitions its index range statically and writes results by
 // index, so a kernel's output is bitwise identical for every worker count.
 type HostParallel interface {
 	SetHostWorkers(n int)
+}
+
+// Rebindable is implemented by kernels that run on one simulated device.
+// SetDevice moves the kernel to dev and keeps its learned state, so the
+// fleet scheduler can own one kernel per row-band and run it on whichever
+// device executes the band that step.
+type Rebindable interface {
+	SetDevice(dev *gpusim.Device)
 }
 
 // Overhead is the total host-side overhead.

@@ -107,6 +107,36 @@ const (
 	ClusterNone
 )
 
+// Fixed tuning of the Predictive kernel's forecast and k-means
+// clustering; the ablations vary the model, the partition transform and
+// the clustering mode instead.
+const (
+	// safetyFactor scales predicted panel counts before partitioning.
+	safetyFactor = 1.0
+	// spatialWeight adds the grid position (scaled to the typical pattern
+	// magnitude) to the k-means features, regularising clusters to be
+	// spatially compact so warps read adjacent stencils.
+	spatialWeight = 0.5
+	// balanceSlack relaxes the per-cluster capacity of the balanced
+	// k-means assignment: capacity = slack * N/m, rounded up to whole
+	// warps (1.0 forces exactly equal clusters).
+	balanceSlack = 1.0
+	// clusterSample caps the number of points used to fit the k-means
+	// centers (all points are still assigned). The paper runs
+	// scikit-learn k-means on all points on a multicore host; the
+	// subsample keeps host time proportionate on small machines without
+	// changing the cluster structure of the smooth pattern field.
+	clusterSample = 4096
+	// kmeansSeed seeds k-means initialisation and cluster sampling.
+	kmeansSeed = 0
+)
+
+// clusterCount is the RP-CLUSTERING cluster count m = max(NX, NY), as in
+// the paper's implementation.
+func clusterCount(target *grid.Grid) int {
+	return max(target.NX, target.NY)
+}
+
 // Predictive implements this paper's Predictive-RP kernel (Algorithm 1).
 type Predictive struct {
 	Dev *gpusim.Device
@@ -116,36 +146,11 @@ type Predictive struct {
 	Mode PartitionMode
 	// Clustering selects the RP-CLUSTERING strategy.
 	Clustering ClusterMode
-	// Clusters is the cluster count m; 0 means max(NX, NY) as in the
-	// paper's implementation.
-	Clusters int
-	// Seed seeds k-means initialisation and cluster sampling.
-	Seed uint64
-	// ClusterSample caps the number of points used to fit the k-means
-	// centers (all points are still assigned); 0 means 4096. The paper
-	// runs scikit-learn k-means on all points on a multicore host; the
-	// subsample keeps host time proportionate on small machines without
-	// changing the cluster structure of the smooth pattern field.
-	ClusterSample int
-	// SafetyFactor scales predicted panel counts before partitioning
-	// (>= 1 trades a little extra work for fewer tolerance failures);
-	// 0 means 1.0.
-	SafetyFactor float64
 	// MergeQuantile is the per-subregion quantile of member pattern counts
 	// used for a block's merged partition: 1.0 covers every member
 	// (element-wise max, most extra work), lower values let the adaptive
 	// safety net catch the tail. 0 means 0.9.
 	MergeQuantile float64
-	// SpatialWeight adds the grid position (scaled to the typical pattern
-	// magnitude) to the clustering features, regularising clusters to be
-	// spatially compact so warps read adjacent stencils. 0 means 0.5;
-	// negative disables.
-	SpatialWeight float64
-	// BalanceSlack relaxes the per-cluster capacity used by the balanced
-	// assignment: capacity = slack * N/m (rounded up to whole warps).
-	// 1.0 forces exactly equal clusters (most warp-aligned, most spill);
-	// larger values keep more points in their nearest cluster. 0 means 1.0.
-	BalanceSlack float64
 	// SegmentCap bounds the segmented-clustering block size in threads;
 	// 0 means one warp (32), which keeps the merged partition tight where
 	// patterns vary quickly along a row.
@@ -228,6 +233,9 @@ func (pr *Predictive) SetObserver(o *obs.Observer) { pr.obs = o }
 
 // SetHostWorkers implements HostParallel.
 func (pr *Predictive) SetHostWorkers(n int) { pr.HostWorkers = n }
+
+// SetDevice implements Rebindable.
+func (pr *Predictive) SetDevice(dev *gpusim.Device) { pr.Dev = dev }
 
 // hostWorkers resolves the worker count used by this step's host phases.
 func (pr *Predictive) hostWorkers() int { return hostpar.Workers(pr.HostWorkers) }
@@ -393,10 +401,6 @@ func (pr *Predictive) predictPhase(p *retard.Problem, target *grid.Grid, points 
 		parts = hostpar.Resize(sc.parts, n)
 		sc.parts = parts
 	}
-	safety := pr.SafetyFactor
-	if safety == 0 {
-		safety = 1
-	}
 	// Model features are bunch-frame coordinates: the moment grid co-moves
 	// with the bunch, so positions relative to the grid centre are the
 	// stationary coordinates in which access patterns persist; lab-frame
@@ -417,7 +421,7 @@ func (pr *Predictive) predictPhase(p *retard.Problem, target *grid.Grid, points 
 					pr.Pred.Predict(wk.feat, wk.buf)
 				}
 				for j := range pat {
-					pat[j] = math.Max(wk.buf[j]*safety, 0)
+					pat[j] = math.Max(wk.buf[j]*safetyFactor, 0)
 				}
 			} else {
 				for j := range pat {
@@ -618,13 +622,7 @@ func mergeClamped(a, b []float64) []float64 {
 func (pr *Predictive) segmentClusters(target *grid.Grid, patterns []access.Pattern) [][]int {
 	sc := &pr.scratch
 	n := len(patterns)
-	m := pr.Clusters
-	if m <= 0 {
-		m = target.NX
-		if target.NY > m {
-			m = target.NY
-		}
-	}
+	m := clusterCount(target)
 	warp := pr.Dev.Config().WarpSize
 	capacity := (n + m - 1) / m
 	// Tight segments keep the merged partition close to every member's
@@ -731,27 +729,14 @@ func quantilePattern(patterns []access.Pattern, members []int, numSub int, q flo
 // feature regularises the clusters to be spatially compact, so the warps
 // formed from a cluster read adjacent integrand stencils.
 func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Pattern) [][]int {
-	m := pr.Clusters
-	if m <= 0 {
-		m = target.NX
-		if target.NY > m {
-			m = target.NY
-		}
+	m := clusterCount(target)
+	// Scale positions to the typical pattern magnitude so neither
+	// dominates the k-means metric.
+	var norm float64
+	for i := range patterns {
+		norm += math.Sqrt(access.Distance2(patterns[i], nil))
 	}
-	sw := pr.SpatialWeight
-	if sw == 0 {
-		sw = 0.5
-	}
-	var posScale float64
-	if sw > 0 {
-		// Scale positions to the typical pattern magnitude so neither
-		// dominates the k-means metric.
-		var norm float64
-		for i := range patterns {
-			norm += math.Sqrt(access.Distance2(patterns[i], nil))
-		}
-		posScale = sw * norm / float64(len(patterns))
-	}
+	posScale := spatialWeight * norm / float64(len(patterns))
 	data := make([][]float64, len(patterns))
 	for i := range patterns {
 		if posScale > 0 {
@@ -767,22 +752,18 @@ func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Patte
 			data[i] = patterns[i]
 		}
 	}
-	sample := pr.ClusterSample
-	if sample <= 0 {
-		sample = 4096
-	}
 	var centers [][]float64
-	if len(data) > sample && sample > m {
-		src := rng.New(pr.Seed ^ 0x5eed)
-		perm := src.Perm(len(data))[:sample]
-		sub := make([][]float64, sample)
+	if len(data) > clusterSample && clusterSample > m {
+		src := rng.New(kmeansSeed ^ 0x5eed)
+		perm := src.Perm(len(data))[:clusterSample]
+		sub := make([][]float64, clusterSample)
 		for i, j := range perm {
 			sub[i] = data[j]
 		}
-		fit := kmeans.Cluster(sub, kmeans.Config{K: m, Seed: pr.Seed, MaxIters: 12})
+		fit := kmeans.Cluster(sub, kmeans.Config{K: m, Seed: kmeansSeed, MaxIters: 12})
 		centers = fit.Centers
 	} else {
-		fit := kmeans.Cluster(data, kmeans.Config{K: m, Seed: pr.Seed, MaxIters: 12})
+		fit := kmeans.Cluster(data, kmeans.Config{K: m, Seed: kmeansSeed, MaxIters: 12})
 		centers = fit.Centers
 	}
 	// Balanced assignment: k-means "prefers clusters of approximately
@@ -791,11 +772,7 @@ func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Patte
 	// the slack lets most points stay in their nearest cluster. Capacity
 	// rounds up to a whole number of warps.
 	warp := pr.Dev.Config().WarpSize
-	slack := pr.BalanceSlack
-	if slack == 0 {
-		slack = 1
-	}
-	capacity := int(slack * float64(len(data)) / float64(m))
+	capacity := int(balanceSlack * float64(len(data)) / float64(m))
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -39,6 +39,9 @@ func (t *TwoPhase) SetObserver(o *obs.Observer) { t.obs = o }
 // SetHostWorkers implements HostParallel.
 func (t *TwoPhase) SetHostWorkers(n int) { t.HostWorkers = n }
 
+// SetDevice implements Rebindable.
+func (t *TwoPhase) SetDevice(dev *gpusim.Device) { t.Dev = dev }
+
 // NewTwoPhase returns the kernel with the launch configuration of [9].
 func NewTwoPhase(dev *gpusim.Device) *TwoPhase {
 	return &TwoPhase{Dev: dev, ThreadsPerBlock: 256, PanelsPerSub: 1}

@@ -90,7 +90,7 @@ func (r FleetReport) Table() string {
 	fmt.Fprintf(&b, "fleet: steps=%d bands=%d stolen=%d retried=%d\n",
 		r.Steps, r.Bands, r.Stolen, r.Retried)
 	if len(r.Devices) == 0 {
-		b.WriteString("no fleet/device events in trace (run beamsim with -fleet -trace)\n")
+		b.WriteString("no fleet/device events in trace (run beamsim with -devices 2 -trace)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%-8s %12s %10s %-10s %s\n", "device", "busy_sim_s", "mean_util", "state", "states_seen")

@@ -55,7 +55,7 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	}
 	fl := fleet.New(fleet.Config{
 		Manager: fleet.NewInjectable(devs, events),
-		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
+		MakeKernel: func(dev *gpusim.Device) kernels.Algorithm {
 			return kernels.NewTwoPhase(dev)
 		},
 		Seed: 1,
