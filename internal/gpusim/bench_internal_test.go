@@ -42,15 +42,29 @@ func BenchmarkRunOracle(b *testing.B) {
 // stencilLaunch records the integrand's address stream: every lane reads
 // three 3×3 stencils per sample from a grid-wide plane, either as stencil
 // runs or as the nine single loads each stands for.
-func stencilLaunch(grid int, asRun bool) Launch {
+//
+// With twoRows unset, lane th of block b samples at column th of row b, so
+// every warp's corners arrive presorted. With twoRows set, each block
+// covers a 16×16 tile and each warp two of its rows, as Predictive
+// clusters and Two-Phase row blocks do, and each lane's sample lands up
+// to a column off its point, as per-point theta windows make it: the
+// corners fall into several lines per row and descend inside them.
+func stencilLaunch(grid int, asRun, twoRows bool) Launch {
 	row := uintptr(grid * 8)
 	return Launch{
 		Name: "stencil", Blocks: grid * grid / 256, ThreadsPerBlock: 256,
 		Kernel: func(l *Lane, b, th int) {
 			l.Begin(0)
+			at := b*grid + th
+			if twoRows {
+				tiles := grid / 16
+				x := (b%tiles)*16 + th%16 + 2*(th%2) // a column either side of x+1
+				y := (b/tiles)*16 + th/16
+				at = y*grid + x
+			}
 			for s := 0; s < 4; s++ {
 				for p := 0; p < 3; p++ {
-					corner := uintptr(p*grid*grid*8+b*grid*8+th*8) + uintptr(s)*row
+					corner := uintptr(p*grid*grid*8+at*8) + uintptr(s)*row
 					if asRun {
 						l.LoadStencil3x3(corner, 8, row)
 						continue
@@ -68,15 +82,19 @@ func stencilLaunch(grid int, asRun bool) Launch {
 }
 
 // BenchmarkRunStencil replays the same stencil address stream recorded as
-// runs (the evaluator's form) and as singles (the closure's form).
+// runs (the evaluator's form) and as singles (the closure's form), for
+// presorted warps and for warps spanning two grid rows.
 func BenchmarkRunStencil(b *testing.B) {
 	for _, form := range []struct {
-		name  string
-		asRun bool
-	}{{"runs", true}, {"singles", false}} {
+		name           string
+		asRun, twoRows bool
+	}{
+		{"runs", true, false}, {"singles", false, false},
+		{"two-rows/runs", true, true}, {"two-rows/singles", false, true},
+	} {
 		b.Run(form.name, func(b *testing.B) {
 			d := New(KeplerK40())
-			l := stencilLaunch(128, form.asRun)
+			l := stencilLaunch(128, form.asRun, form.twoRows)
 			d.Run(l)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -161,10 +161,15 @@ type smState struct {
 	m      Metrics
 	lanes  []*Lane
 	// scratch for coalescing (<= WarpSize entries per warp instruction);
-	// corners holds the members' stencil-run corners during a batch
-	addrs   []uintptr
-	lines   []uintptr
-	corners []uintptr
+	// during a stencil batch corners holds the members' corners in arrival
+	// order, descents the indices where they step down, sorted a sorted
+	// copy (only when a descent exists) and groups its line groups
+	addrs    []uintptr
+	lines    []uintptr
+	corners  []uintptr
+	descents []int
+	sorted   []uintptr
+	groups   []lineGroup
 	// scratch for divergent-kind grouping (<= WarpSize distinct kinds):
 	// members collects the lanes alive at step t, group one kind's subset
 	kinds   []uint16
@@ -208,6 +213,9 @@ func New(cfg Config) *Device {
 			members:  make([]*Lane, 0, cfg.WarpSize),
 			group:    make([]*Lane, 0, cfg.WarpSize),
 			corners:  make([]uintptr, 0, cfg.WarpSize),
+			descents: make([]int, 0, cfg.WarpSize),
+			sorted:   make([]uintptr, 0, cfg.WarpSize),
+			groups:   make([]lineGroup, 0, cfg.WarpSize),
 			cur:      make([]runCursor, 0, cfg.WarpSize),
 			resident: make([][]*Lane, 0, cfg.ResidentWarps),
 		}
@@ -526,16 +534,23 @@ type runCursor struct {
 // replayStencil issues the nine warp load instructions of a stencil batch
 // when every live cursor (one with runs left) sits at the start of a
 // stencil run and all of them share (col, row); otherwise it reports
-// false without side effects. The corners are gathered once; instruction
-// k then offsets each by stencilOX[k]·col + stencilOY[k]·row and
-// coalesces while the lines arrive: as long as they are non-decreasing
-// each one is deduplicated against the last kept line, so the presorted
-// shape reaches the caches without a second pass. The first inversion
-// appends the rest raw and hands the lot to walkLines as unsorted, which
-// sorts and deduplicates it exactly as it would the full gather. Callers
-// guarantee lineShift >= 0.
+// false without side effects. Callers guarantee lineShift >= 0.
+//
+// The corners are gathered once, noting every arrival-order descent. A
+// copy is insertion-sorted only when a descent exists, and the sorted
+// corners are grouped by cache line, keeping each group's line hi and the
+// least and greatest in-line offsets minLo and maxLo. Instruction k adds
+// off = stencilOX[k]·col + stencilOY[k]·row to every corner, which maps a
+// group onto the lines hi + off>>shift + (lo + off&mask)>>shift for lo in
+// [minLo, maxLo] — at most two, the ones of minLo and maxLo — so walking
+// the groups in order yields the instruction's sorted unique lines in
+// O(groups). Line order is monotone in the address, so an instruction
+// arrived unsorted exactly when one of the recorded descents still maps
+// to a decreasing line at that offset; that is when the single-load
+// gather would have counted a sort fallback.
 func (d *Device) replayStencil(sm *smState, cur []runCursor) bool {
 	corners := sm.corners[:0]
+	descents := sm.descents[:0]
 	var col, row uintptr
 	for j := range cur {
 		c := &cur[j]
@@ -548,8 +563,13 @@ func (d *Device) replayStencil(sm *smState, cur []runCursor) bool {
 		}
 		if len(corners) == 0 {
 			col, row = r.col, r.row
-		} else if r.col != col || r.row != row {
-			return false
+		} else {
+			if r.col != col || r.row != row {
+				return false
+			}
+			if r.addr < corners[len(corners)-1] {
+				descents = append(descents, len(corners))
+			}
 		}
 		corners = append(corners, r.addr)
 	}
@@ -561,39 +581,60 @@ func (d *Device) replayStencil(sm *smState, cur []runCursor) bool {
 			c.runs = c.runs[1:]
 		}
 	}
-	m := &sm.m
 	shift := uint(d.lineShift)
+	mask := uintptr(1)<<shift - 1
+	sorted := corners
+	if len(descents) > 0 {
+		sorted = append(sm.sorted[:0], corners...)
+		insertionSortLines(sorted)
+	}
+	groups := sm.groups[:0]
+	for _, a := range sorted {
+		hi, lo := a>>shift, a&mask
+		if n := len(groups); n > 0 && groups[n-1].hi == hi {
+			groups[n-1].maxLo = lo
+			continue
+		}
+		groups = append(groups, lineGroup{hi: hi, minLo: lo, maxLo: lo})
+	}
+
+	m := &sm.m
 	reqBytes := 8 * uint64(len(corners))
 	for k := range stencilOX {
 		off := stencilOX[k]*col + stencilOY[k]*row
+		offHi, offLo := off>>shift, off&mask
 		lines := sm.lines[:0]
-		prev := (corners[0] + off) >> shift
-		lines = append(lines, prev)
-		j := 1
-		for ; j < len(corners); j++ {
-			ln := (corners[j] + off) >> shift
-			if ln < prev {
-				break
+		for _, g := range groups {
+			first := g.hi + offHi + (g.minLo+offLo)>>shift
+			if len(lines) == 0 || lines[len(lines)-1] != first {
+				lines = append(lines, first)
 			}
-			if ln != prev {
-				lines = append(lines, ln)
-				prev = ln
+			if last := g.hi + offHi + (g.maxLo+offLo)>>shift; last != first {
+				lines = append(lines, last)
 			}
 		}
 		m.LoadReqBytes += reqBytes
-		if j < len(corners) {
-			for ; j < len(corners); j++ {
-				lines = append(lines, (corners[j]+off)>>shift)
+		unsorted := false
+		for _, j := range descents {
+			if (corners[j]+off)>>shift < (corners[j-1]+off)>>shift {
+				unsorted = true
+				break
 			}
-			d.walkLines(sm, lines, false, false, true)
-			continue
 		}
-		if len(lines) == 1 {
+		if unsorted {
+			sm.sortFallbacks++
+		} else if len(lines) == 1 {
 			sm.lineHits++
 		}
 		d.loadLines(sm, lines)
 	}
 	return true
+}
+
+// lineGroup is the run of sorted stencil corners that share one L1 line:
+// the line hi and the least and greatest in-line byte offsets.
+type lineGroup struct {
+	hi, minLo, maxLo uintptr
 }
 
 // gatherRuns collects the next address of every live cursor into the line

@@ -85,6 +85,20 @@ var traceFormKernels = []struct {
 			recordStencil(l, asRun, uintptr(0x40000+th*8), 8, 64*8)
 		}
 	}},
+	{"descents-inside-a-line", func(asRun bool) Kernel {
+		return func(l *Lane, b, th int) {
+			l.Begin(0)
+			// Neighbouring lanes descend inside one line (in-line offsets
+			// 120 then 112): instruction 0 arrives sorted, but the +8
+			// column moves only the first lane into the next line and
+			// arrives unsorted.
+			recordStencil(l, asRun, uintptr(b*8192+(th/2)*256+120-8*(th%2)), 8, 64*8)
+			// Sixteen lanes per line at in-line offsets 127 down to 112:
+			// the +8 column straddles a line boundary and arrives
+			// unsorted, the +16 column lands wholly in the next line.
+			recordStencil(l, asRun, uintptr(0x10000+b*8192+(th/16)*512+127-th%16), 8, 64*8)
+		}
+	}},
 	{"divergent-kinds", func(asRun bool) Kernel {
 		return func(l *Lane, b, th int) {
 			l.Begin(th % 2)
@@ -101,13 +115,17 @@ var traceFormKernels = []struct {
 // the single-load trace: recording the same address stream either way
 // gives ==-equal ReplayStats on each engine and ==-equal Metrics on both —
 // misaligned cursors, lanes that run out early, mixed and zero strides,
-// corners that force the sort fallback, and a non-power-of-two L1 line
+// corners that force the sort fallback on some instructions of a batch
+// and not others, 64- and 128-byte lines, and a non-power-of-two L1 line
 // (which takes the per-lane cursor path instead of the stencil batch).
 func TestTraceFormAB(t *testing.T) {
 	nonPow2 := abConfig(32, 2, 2)
 	nonPow2.Name = "ab-48B-lines"
 	nonPow2.L1Bytes, nonPow2.L1LineBytes = 48*16, 48
-	for _, cfg := range []Config{abConfig(32, 1, 2), abConfig(8, 2, 3), nonPow2} {
+	wide := abConfig(32, 2, 2)
+	wide.Name = "ab-128B-lines"
+	wide.L1Bytes, wide.L1LineBytes = 128*16, 128
+	for _, cfg := range []Config{abConfig(32, 1, 2), abConfig(8, 2, 3), wide, nonPow2} {
 		for _, tk := range traceFormKernels {
 			t.Run(fmt.Sprintf("%s/ws%d/%s", cfg.Name, cfg.WarpSize, tk.name), func(t *testing.T) {
 				// devs[engine][form], form 0 = runs, 1 = singles.
@@ -135,8 +153,8 @@ func TestTraceFormAB(t *testing.T) {
 						}
 					}
 				}
-				if tk.name == "unsorted-corners" && devs[0][0].ReplayStats().SortFallbacks == 0 {
-					t.Fatal("unsorted corners never took the sort fallback")
+				if s := devs[0][0].ReplayStats(); (tk.name == "unsorted-corners" || tk.name == "descents-inside-a-line") && s.SortFallbacks == 0 {
+					t.Fatalf("%s never took the sort fallback", tk.name)
 				}
 			})
 		}

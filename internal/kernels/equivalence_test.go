@@ -10,8 +10,9 @@ import (
 // TestKernelsUnchangedByEvaluator is the refactor's contract with the cost
 // model: swapping the closure integrand for the per-SM panel evaluators
 // must leave every kernel's output grid bitwise identical and every
-// simulated counter — loads, flops, cache traffic, modelled time — exactly
-// equal, across consecutive steps (the evaluator pool is reused and Reset
+// simulated counter — loads, flops, cache traffic, modelled time, and the
+// device's replay statistics (sort fallbacks, line short-circuits, MRU
+// hits) — exactly equal, across consecutive steps (the evaluator pool is reused and Reset
 // between steps).
 //
 // The cache model maps real heap addresses to sets, so the comparison is
@@ -24,6 +25,7 @@ func TestKernelsUnchangedByEvaluator(t *testing.T) {
 	type stepOut struct {
 		data    []float64
 		metrics gpusim.Metrics
+		replay  gpusim.ReplayStats
 		points  []Point
 	}
 
@@ -32,7 +34,8 @@ func TestKernelsUnchangedByEvaluator(t *testing.T) {
 	runAlgo := func(name string, closure bool) []stepOut {
 		defer func(prev bool) { UseClosureIntegrand = prev }(UseClosureIntegrand)
 		UseClosureIntegrand = closure
-		algo := algorithms(gpusim.New(gpusim.KeplerK40()))[name]
+		dev := gpusim.New(gpusim.KeplerK40())
+		algo := algorithms(dev)[name]
 		var out []stepOut
 		for step := 0; step < 2; step++ {
 			tg := target.Clone()
@@ -41,6 +44,7 @@ func TestKernelsUnchangedByEvaluator(t *testing.T) {
 			out = append(out, stepOut{
 				data:    append([]float64(nil), tg.Data...),
 				metrics: res.Metrics,
+				replay:  dev.ReplayStats(),
 				points:  res.Points,
 			})
 		}
@@ -65,6 +69,9 @@ func TestKernelsUnchangedByEvaluator(t *testing.T) {
 			}
 			if g.metrics != w.metrics {
 				t.Fatalf("%s step %d: metrics diverge\nevaluator: %+v\nclosure:   %+v", name, step, g.metrics, w.metrics)
+			}
+			if g.replay != w.replay {
+				t.Fatalf("%s step %d: replay stats diverge\nevaluator: %+v\nclosure:   %+v", name, step, g.replay, w.replay)
 			}
 			for i := range w.points {
 				if g.points[i].I != w.points[i].I || g.points[i].Err != w.points[i].Err {

@@ -45,3 +45,48 @@ func TestFixedPhaseAllocsBounded(t *testing.T) {
 	}
 	t.Logf("%.0f allocs for %d points, %d fallback entries", avg, len(points), len(entries))
 }
+
+// TestAdaptivePhaseAllocsBounded pins the adaptive pass's host allocations
+// on a warm 24² problem: every work entry's breakpoints merge into its
+// point's Partition (one allocation each), plus a per-launch constant (the
+// SM evaluators and scratch). Frame stacks and breakpoint lists are per-SM
+// scratch, so refining an entry costs no allocation per panel, and the
+// cost-ordered variant sorts the entries without allocating per entry.
+func TestAdaptivePhaseAllocsBounded(t *testing.T) {
+	p, target := fixture(8, 24)
+	dev := gpusim.New(gpusim.KeplerK40())
+	points := buildPoints(p, target, 1)
+	var maxR float64
+	for _, pt := range points {
+		if pt.R > maxR {
+			maxR = pt.R
+		}
+	}
+	// The fallback entries of a coarse fixed pass: the safety net's
+	// production input.
+	part := uniformCoarsePartition(p, maxR, 1)
+	_, entries := fixedPhase(dev, p, points, fixedPhaseSpec{
+		name:            "alloc-pin-fixed",
+		blocks:          rowMajorBlocks(len(points), 64),
+		threadsPerBlock: 64,
+		partFor: func(int, int) ([]float64, uintptr) {
+			return part, RegionParts
+		},
+	})
+	if len(entries) == 0 {
+		t.Fatal("coarse fixed pass left no fallback entries")
+	}
+	for _, sortByCost := range []bool{false, true} {
+		run := func() { adaptivePhase(dev, p, points, entries, 64, sortByCost, "alloc-pin") }
+		run()
+		run()
+		avg := testing.AllocsPerRun(5, run)
+		const perLaunch = 256
+		bound := float64(len(entries) + perLaunch)
+		if avg > bound {
+			t.Fatalf("adaptive phase (sortByCost=%v): %.0f allocs for %d entries, want <= %.0f",
+				sortByCost, avg, len(entries), bound)
+		}
+		t.Logf("sortByCost=%v: %.0f allocs for %d entries", sortByCost, avg, len(entries))
+	}
+}

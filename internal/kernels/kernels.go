@@ -22,9 +22,10 @@
 package kernels
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 
 	"beamdyn/internal/access"
 	"beamdyn/internal/gpusim"
@@ -276,10 +277,25 @@ type workEntry struct {
 	pt   int
 }
 
-// adaptiveResult is the per-entry output slot of the adaptive phase.
+// adaptiveResult is the per-entry output slot of the adaptive phase. The
+// entry's accepted panel bounds are bounds[lo:hi] of its SM's breakpoint
+// scratch.
 type adaptiveResult struct {
 	i, err float64
-	bounds []float64
+	sm     int
+	lo, hi int
+}
+
+// adaptiveFrame is one panel on a lane's refinement stack: its endpoint
+// and midpoint integrand values plus its coarse estimate, so a refinement
+// step evaluates only the two new quarter points — the evaluation reuse
+// every serious adaptive implementation (including [9]'s CUDA code)
+// performs.
+type adaptiveFrame struct {
+	a, b, tol  float64
+	fa, fm, fb float64
+	coarse     float64
+	depth      int
 }
 
 // adaptivePhase is RP-ADAPTIVEQUADRATURE: one launch with one thread per
@@ -298,19 +314,25 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 		return gpusim.Metrics{}, 0
 	}
 	if sortByCost {
-		sort.Slice(entries, func(i, j int) bool {
-			wi := entries[i].b - entries[i].a
-			wj := entries[j].b - entries[j].a
-			if wi != wj {
-				return wi > wj
+		// Widest (costliest) interval first, ties by point.
+		slices.SortFunc(entries, func(x, y workEntry) int {
+			if wx, wy := x.b-x.a, y.b-y.a; wx != wy {
+				return cmp.Compare(wy, wx)
 			}
-			return entries[i].pt < entries[j].pt
+			return cmp.Compare(x.pt, y.pt)
 		})
 	}
 	results := make([]adaptiveResult, len(entries))
 	maxDepth := p.MaxDepth
 	blocks := (len(entries) + threadsPerBlock - 1) / threadsPerBlock
 	pool := newIntegrandPool(dev, p)
+	// stackBySM and boundsBySM are each simulated SM's frame stack and
+	// accepted-breakpoint scratch, indexed like the integrand pool: one SM
+	// replays its lanes sequentially, so each lane reuses the stack, and
+	// its bounds append to the SM's list for the merge after the launch.
+	numSMs := dev.Config().NumSMs
+	stackBySM := make([][]adaptiveFrame, numSMs)
+	boundsBySM := make([][]float64, numSMs)
 	m := dev.Run(gpusim.Launch{
 		Name:            name,
 		Blocks:          blocks,
@@ -329,27 +351,19 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 			lane.Load(pointAddr(e.pt, 1))
 			lane.Flops(6)
 			f := pool.bind(points[e.pt].X, points[e.pt].Y, lane, block)
+			sm := block % numSMs
+			bounds := boundsBySM[sm]
 			res := &results[idx]
+			res.sm, res.lo = sm, len(bounds)
 
-			// Memoized adaptive Simpson: each frame carries its endpoint
-			// and midpoint integrand values plus its coarse estimate, so a
-			// refinement step evaluates only the two new quarter points —
-			// the evaluation reuse every serious adaptive implementation
-			// (including [9]'s CUDA code) performs.
-			type frame struct {
-				a, b, tol  float64
-				fa, fm, fb float64
-				coarse     float64
-				depth      int
-			}
 			m0 := 0.5 * (e.a + e.b)
 			fa, fm, fb := f(e.a), f(m0), f(e.b)
 			lane.Flops(4)
-			stack := []frame{{
+			stack := append(stackBySM[sm][:0], adaptiveFrame{
 				a: e.a, b: e.b, tol: e.tol,
 				fa: fa, fm: fm, fb: fb,
 				coarse: (e.b - e.a) / 6 * (fa + 4*fm + fb),
-			}}
+			})
 			for len(stack) > 0 {
 				fr := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -365,13 +379,16 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 				if errEst <= fr.tol || fr.depth >= maxDepth {
 					res.i += left + right + (left+right-fr.coarse)/15
 					res.err += errEst
-					res.bounds = append(res.bounds, fr.a, fr.b)
+					bounds = append(bounds, fr.a, fr.b)
 					continue
 				}
 				stack = append(stack,
-					frame{a: mid, b: fr.b, tol: fr.tol / 2, fa: fr.fm, fm: frm, fb: fr.fb, coarse: right, depth: fr.depth + 1},
-					frame{a: fr.a, b: mid, tol: fr.tol / 2, fa: fr.fa, fm: flm, fb: fr.fm, coarse: left, depth: fr.depth + 1})
+					adaptiveFrame{a: mid, b: fr.b, tol: fr.tol / 2, fa: fr.fm, fm: frm, fb: fr.fb, coarse: right, depth: fr.depth + 1},
+					adaptiveFrame{a: fr.a, b: mid, tol: fr.tol / 2, fa: fr.fa, fm: flm, fb: fr.fm, coarse: left, depth: fr.depth + 1})
 			}
+			stackBySM[sm] = stack
+			res.hi = len(bounds)
+			boundsBySM[sm] = bounds
 			lane.Begin(kindFinish)
 			for f := 0; f < 3; f++ {
 				lane.Store(workAddr(idx, f))
@@ -384,8 +401,9 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 		pt := &points[e.pt]
 		pt.I += r.i
 		pt.Err += r.err
-		sort.Float64s(r.bounds)
-		pt.Partition = quadrature.MergeLists(pt.Partition, r.bounds, 1e-18)
+		bounds := boundsBySM[r.sm][r.lo:r.hi]
+		slices.Sort(bounds)
+		pt.Partition = quadrature.MergeLists(pt.Partition, bounds, 1e-18)
 	}
 	return m, 1
 }

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"sort"
-
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/grid"
 	"beamdyn/internal/hostpar"
@@ -99,6 +97,14 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 	return res
 }
 
+// roundResult is the output slot of one refinement-round entry: done when
+// the entry met its tolerance (or the depth limit) and [a, b] joins its
+// point's partition.
+type roundResult struct {
+	i, err float64
+	done   bool
+}
+
 // refineRounds is [9]'s globally adaptive refinement: each round launches
 // one thread per pending interval, evaluating the full 5-point Simpson
 // pair from scratch (no evaluation reuse across rounds — each round's
@@ -111,7 +117,7 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 	tpb := t.ThreadsPerBlock
 	pool := newIntegrandPool(t.Dev, p)
 	for depth := 0; len(entries) > 0 && depth < p.MaxDepth; depth++ {
-		results := make([]adaptiveResult, len(entries))
+		results := make([]roundResult, len(entries))
 		es := entries
 		blocks := (len(es) + tpb - 1) / tpb
 		m := t.Dev.Run(gpusim.Launch{
@@ -138,9 +144,7 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 				if est.Err <= e.tol || depth == p.MaxDepth-1 {
 					res.i = est.I
 					res.err = est.Err
-					res.bounds = []float64{e.a, e.b}
-				} else {
-					res.bounds = nil
+					res.done = true
 				}
 				lane.Begin(kindFinish)
 				for f := 0; f < 3; f++ {
@@ -154,12 +158,12 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 		var next []workEntry
 		for i, e := range entries {
 			r := &results[i]
-			if r.bounds != nil {
+			if r.done {
 				pt := &points[e.pt]
 				pt.I += r.i
 				pt.Err += r.err
-				sort.Float64s(r.bounds)
-				pt.Partition = quadrature.MergeLists(pt.Partition, r.bounds, 1e-18)
+				bounds := [2]float64{e.a, e.b}
+				pt.Partition = quadrature.MergeLists(pt.Partition, bounds[:], 1e-18)
 			} else {
 				mid := 0.5 * (e.a + e.b)
 				next = append(next,

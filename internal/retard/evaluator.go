@@ -63,11 +63,13 @@ type subEval struct {
 // history planes and component offsets hoisted out of the stencil, the
 // Newton-Cotes weight table built once, cos/sin tables reused while the
 // angular window repeats. A bound evaluator produces bitwise-identical
-// integrals, errors, partitions and access patterns, and records the
-// identical load/flop sequence on a gpusim.Lane — each 3×3 stencil as one
+// integrals, errors, partitions and access patterns. On a gpusim.Lane it
+// runs the host path's unrolled stencil arithmetic (rowTraced) and records
+// the identical load/flop sequence: each 3×3 stencil as one
 // LoadStencil3x3 run where the closure records nine single Loads, which
-// the replay expands to the same warp instructions. An Evaluator is not
-// safe for concurrent use — give each worker (or simulated SM) its own.
+// the replay expands to the same warp instructions, and each evaluation's
+// flops as one sum. An Evaluator is not safe for concurrent use — give
+// each worker (or simulated SM) its own.
 type Evaluator struct {
 	p   *Problem
 	sub []subEval
@@ -373,15 +375,17 @@ func (e *Evaluator) eval(r float64) float64 {
 	ent := e.radial(r)
 	j := int(ent.j)
 	t0, t1, ok := e.windowMemo(j, r, ent)
-	if e.lane != nil {
-		e.lane.Flops(8) // window test
-	}
 	if !ok {
+		if e.lane != nil {
+			e.lane.Flops(8) // window test
+		}
 		return 0
 	}
-	inner := e.inner(&e.sub[j], r, t0, t1)
+	inner, flops := e.inner(&e.sub[j], r, t0, t1)
 	if e.lane != nil {
-		e.lane.Flops(2 * len(e.weights))
+		// Window test, the traced samples and the rule sum, charged as one
+		// sum: flops accumulate per unit, so the trace is unchanged.
+		e.lane.Flops(8 + flops + 2*len(e.weights))
 	}
 	return ent.weight * inner
 }
@@ -445,12 +449,13 @@ func (e *Evaluator) windowMemo(j int, r float64, ent *radialEntry) (t0, t1 float
 // inner is the Newton-Cotes angular integral with the 27-point stencil
 // inlined: temporal interpolation weights hoisted per radius (the closure
 // path rederives them per angular sample) and samples read straight from
-// the hoisted planes.
-func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
+// the hoisted planes. It also returns the flops the samples charge on a
+// bound lane (0 without one), which eval adds to its own.
+func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) (float64, int) {
 	if !s.ok {
 		// No resident middle grid: every sample is zero and the closure
 		// path records no loads or sample flops, so the sum is exactly 0.
-		return 0
+		return 0, 0
 	}
 	p := e.p
 	// Retarded time fraction within [iΔt, (i+1)Δt]; quadratic Lagrange
@@ -506,35 +511,41 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
 			}
 			sum += weights[i] * v
 		}
-		return (t1 - t0) * sum
+		return (t1 - t0) * sum, 0
 	}
+	// Traced path: the host path's arithmetic in the same association
+	// order, each plane that passes the row check recording its stencil
+	// as one LoadStencil3x3 run (pm, p0, pp per sample, the closure's
+	// order). An x rejection zeroes all three samples exactly as three
+	// early returns would.
+	flops := 0
 	for i := 0; i < n; i++ {
 		sx := e.x + r*cosTab[i]
 		sy := e.y + r*sinTab[i]
 		var v float64
 		if s.sharedX {
-			// One x-side index/weight computation serves all three
-			// planes; the values are bitwise what each plane would
-			// compute itself. An x rejection zeroes all three samples
-			// exactly as three early returns would.
 			fx := (sx - s.p0.x0) / s.p0.dx
 			ix := int(math.Round(fx))
 			if ix >= 1 && ix <= s.p0.nx-2 {
 				dx := fx - float64(ix)
-				wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
-				v = wm*e.sampleRow(&s.pm, ix, &wx, sy) +
-					w0*e.sampleRow(&s.p0, ix, &wx, sy) +
-					wp*e.sampleRow(&s.pp, ix, &wx, sy)
+				wx0, wx1, wx2 := 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx)
+				vm, fm := rowTraced(lane, &s.pm, ix, wx0, wx1, wx2, sy)
+				v0, f0 := rowTraced(lane, &s.p0, ix, wx0, wx1, wx2, sy)
+				vp, fp := rowTraced(lane, &s.pp, ix, wx0, wx1, wx2, sy)
+				v = wm*vm + w0*v0 + wp*vp
+				flops += fm + f0 + fp
 			}
 		} else {
-			v = wm*e.samplePlane(&s.pm, sx, sy) +
-				w0*e.samplePlane(&s.p0, sx, sy) +
-				wp*e.samplePlane(&s.pp, sx, sy)
+			vm, fm := samplePlaneTraced(lane, &s.pm, sx, sy)
+			v0, f0 := samplePlaneTraced(lane, &s.p0, sx, sy)
+			vp, fp := samplePlaneTraced(lane, &s.pp, sx, sy)
+			v = wm*vm + w0*v0 + wp*vp
+			flops += fm + f0 + fp
 		}
-		lane.Flops(14) // trig, weights and temporal blend
+		flops += 14 // trig, weights and temporal blend
 		sum += e.weights[i] * v
 	}
-	return (t1 - t0) * sum
+	return (t1 - t0) * sum, flops
 }
 
 // sampleRow3Fast blends the three temporal planes' row samples in one
@@ -547,7 +558,8 @@ func sampleRow3Fast(s *subEval, ix int, wx0, wx1, wx2, sy, wm, w0, wp float64) f
 		wp*rowFast(&s.pp, ix, wx0, wx1, wx2, sy)
 }
 
-// rowFast is the scalar-argument core of sampleRowFast.
+// rowFast samples the 3×3 stencil of one plane around column ix, given
+// the x-side weights: sampleGrid's arithmetic, unrolled in its order.
 func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
 	fy := (sy - pl.y0) / pl.dy
 	iy := int(math.Round(fy))
@@ -575,8 +587,8 @@ func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
 	return v
 }
 
-// samplePlaneFast is samplePlane without lane accounting, unrolled the
-// same way.
+// samplePlaneFast samples one plane at (sx, sy) with no lane: sampleGrid's
+// arithmetic on a hoisted plane.
 func samplePlaneFast(pl *plane, sx, sy float64) float64 {
 	fx := (sx - pl.x0) / pl.dx
 	ix := int(math.Round(fx))
@@ -587,54 +599,47 @@ func samplePlaneFast(pl *plane, sx, sy float64) float64 {
 	return rowFast(pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy)
 }
 
-// sampleRow is samplePlane with the x-side stencil geometry precomputed by
-// the caller (shared across the three temporal planes). It records the
-// identical load sequence as the closure path's nine single Loads, as one
-// LoadStencil3x3 run.
-func (e *Evaluator) sampleRow(pl *plane, ix int, wx *[3]float64, sy float64) float64 {
+// rowTraced is rowFast on a bound lane: the same arithmetic in the same
+// association order, and a stencil that passes the row check is recorded
+// as one LoadStencil3x3 run — the load sequence of sampleGrid's nine
+// single Loads. It returns the sample and its flops (30 when recorded).
+func rowTraced(lane *gpusim.Lane, pl *plane, ix int, wx0, wx1, wx2, sy float64) (float64, int) {
 	fy := (sy - pl.y0) / pl.dy
 	iy := int(math.Round(fy))
 	if iy < 1 || iy > pl.ny-2 {
-		return 0
+		return 0, 0
 	}
 	dy := fy - float64(iy)
-	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
-	return e.stencil(pl, ix, iy, wx, &wy)
+	wy0 := 0.5 * (0.5 - dy) * (0.5 - dy)
+	wy1 := 0.75 - dy*dy
+	wy2 := 0.5 * (0.5 + dy) * (0.5 + dy)
+	row := (iy-1)*pl.nx + ix - 1
+	lane.LoadStencil3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
+	d0 := pl.data[row : row+3 : row+3]
+	d1 := pl.data[row+pl.nx : row+pl.nx+3 : row+pl.nx+3]
+	d2 := pl.data[row+2*pl.nx : row+2*pl.nx+3 : row+2*pl.nx+3]
+	var v float64
+	v += wy0 * wx0 * d0[0]
+	v += wy0 * wx1 * d0[1]
+	v += wy0 * wx2 * d0[2]
+	v += wy1 * wx0 * d1[0]
+	v += wy1 * wx1 * d1[1]
+	v += wy1 * wx2 * d1[2]
+	v += wy2 * wx0 * d2[0]
+	v += wy2 * wx1 * d2[1]
+	v += wy2 * wx2 * d2[2]
+	return v, 30 // stencil weights and accumulation
 }
 
-// samplePlane is sampleGrid on a hoisted plane: identical arithmetic and
-// the identical load sequence (one stencil run instead of nine Loads),
-// with no Grid/History indirection per sample.
-func (e *Evaluator) samplePlane(pl *plane, sx, sy float64) float64 {
+// samplePlaneTraced is samplePlaneFast on a bound lane, through rowTraced.
+func samplePlaneTraced(lane *gpusim.Lane, pl *plane, sx, sy float64) (float64, int) {
 	fx := (sx - pl.x0) / pl.dx
-	fy := (sy - pl.y0) / pl.dy
 	ix := int(math.Round(fx))
-	iy := int(math.Round(fy))
-	if ix < 1 || iy < 1 || ix > pl.nx-2 || iy > pl.ny-2 {
-		return 0
+	if ix < 1 || ix > pl.nx-2 {
+		return 0, 0
 	}
 	dx := fx - float64(ix)
-	dy := fy - float64(iy)
-	wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
-	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
-	return e.stencil(pl, ix, iy, &wx, &wy)
-}
-
-// stencil records the 3×3 stencil around (ix, iy) on the bound lane as one
-// run and returns its weighted sum, accumulated in sampleGrid's order.
-func (e *Evaluator) stencil(pl *plane, ix, iy int, wx, wy *[3]float64) float64 {
-	corner := (iy-1)*pl.nx + ix - 1
-	e.lane.LoadStencil3x3(pl.base+uintptr(corner)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
-	e.lane.Flops(30) // stencil weights and accumulation
-	var v float64
-	for oy := 0; oy < 3; oy++ {
-		row := corner + oy*pl.nx
-		w := wy[oy]
-		for ox := 0; ox < 3; ox++ {
-			v += w * wx[ox] * pl.data[row+ox]
-		}
-	}
-	return v
+	return rowTraced(lane, pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy)
 }
 
 // boundR is Problem.R for the bound point, from the cached geometry.

@@ -301,8 +301,9 @@ func (p *Problem) Sample(x, y, r, theta float64, lane *gpusim.Lane) float64 {
 
 // sampleGrid reads the 3×3 quadratic (TSC) stencil of component
 // p.Component on grid g around the physical point (sx, sy). It records the
-// nine reads as single Loads on purpose: the Evaluator records the same
-// stencil as one LoadStencil3x3 run, and this independent form is what
+// nine reads as single Loads on purpose: the Evaluator's rowTraced records
+// the same stencil as one LoadStencil3x3 run with the same arithmetic
+// unrolled, and this independent form is what
 // TestKernelsUnchangedByEvaluator replays it against.
 func (p *Problem) sampleGrid(g *grid.Grid, step int, sx, sy float64, lane *gpusim.Lane) float64 {
 	fx, fy := g.Cell(sx, sy)
