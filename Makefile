@@ -27,16 +27,20 @@ race:
 
 # Fault-injection paths are concurrency-heavy: race-check the fleet
 # package, repeat the placement-independence test (its point is that
-# worker interleavings never change grids) and run a short
-# scripted-failure chaos pass on every PR.
+# worker interleavings never change grids), repeat its chaos sub-test
+# 50 times (~0.1 s each) so a failure trigger that depends on goroutine
+# timing cannot return unseen, and run a short scripted-failure chaos
+# pass on every PR.
 test-fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=3 -run TestFleetBandStateIndependentOfPlacement ./internal/fleet/
+	$(GO) test -count=50 -run 'TestFleetBandStateIndependentOfPlacement/predictive/chaos' ./internal/fleet/
 	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 2 -kernel twophase \
 		-devices 4 -inject "fail:dev=1,step=10,after=1"
 
-# Incident-layer race gate: the alert engine, flight recorder, bundle
-# writer and export server are all crossed by concurrent goroutines
+# Incident-layer race gate: the alert engine, the flight ring (the
+# obs.MemorySink beamsim chains in front of its trace file), the bundle
+# writer and the export server are all crossed by concurrent goroutines
 # (watchdogs, scrapers, the step loop), so race-check them directly, then
 # run a scripted-chaos pass with alerting and post-mortem dumping enabled
 # and triage the resulting bundle with obstool — the full incident chain,
@@ -75,7 +79,7 @@ test-trace-race:
 	$(GO) run ./cmd/obstool tree /tmp/trace_gate.jsonl
 
 # Telemetry-overhead check: the disabled path must stay within 5% of the
-# uninstrumented kernel step, and the full incident layer (flight recorder
+# uninstrumented kernel step, and the full incident layer (flight ring
 # + default alert rules + invariant gauges) within 5% of the bare
 # simulation step (compare the Benchmark lines by hand, or with benchstat
 # when available).

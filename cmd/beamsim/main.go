@@ -27,11 +27,12 @@
 // rides on the same observer: -alerts evaluates a per-step rule script
 // ("default" for the built-in set) over step time, predictor quality,
 // fleet health and the beam's physics invariants; -flight-depth sizes the
-// always-on flight recorder that retains the last N trace events even
-// when -trace is off; and -postmortem-dir makes critical alerts, stalls,
-// unrecovered device failures and run errors dump a self-contained
-// post-mortem bundle there (flight trace, metrics snapshot, alert log,
-// checkpoint, profiles) for offline triage with "obstool postmortem".
+// always-on flight ring (an obs.MemorySink) that retains the last N trace
+// events even when -trace is off; and -postmortem-dir makes critical
+// alerts, stalls, unrecovered device failures and run errors dump a
+// self-contained post-mortem bundle there (flight trace, metrics snapshot,
+// alert log, checkpoint, profiles) for offline triage with
+// "obstool postmortem".
 //
 // "beamsim serve" switches from one-shot runs to the job control plane
 // (see the Serving section of README.md): simulations are submitted as
@@ -55,7 +56,6 @@ import (
 	"beamdyn/internal/obs/alert"
 	"beamdyn/internal/obs/bundle"
 	"beamdyn/internal/obs/export"
-	"beamdyn/internal/obs/flight"
 	"beamdyn/internal/obs/runtimecol"
 )
 
@@ -94,7 +94,7 @@ func main() {
 		staleAfter  = flag.Duration("stale-after", 30*time.Second, "with -http, /healthz reports stalled (503) when no step completes within this window; with -postmortem-dir, the stall watchdog dumps a bundle after it (0 disables both)")
 
 		alerts        = flag.String("alerts", "", "per-step alert rules, e.g. \"fallback_rate>0.2:for=5;steptime:mad=6;device_failed\" (\"default\" for the built-in set; empty disables alerting)")
-		flightDepth   = flag.Int("flight-depth", flight.DefaultDepth, "flight recorder depth: retain the last N trace events in memory even when -trace is off (0 disables)")
+		flightDepth   = flag.Int("flight-depth", 4096, "flight ring depth: retain the last N trace events in memory for post-mortem bundles, even when -trace is off (0 disables)")
 		postmortemDir = flag.String("postmortem-dir", "", "dump post-mortem bundles under this directory on critical alerts, stalls, unrecovered device failures and run errors")
 	)
 	flag.Parse()
@@ -136,7 +136,7 @@ func main() {
 	var (
 		observer  *obs.Observer
 		traceSink *obs.JSONLSink
-		flightRec *flight.Recorder
+		flightRec *obs.MemorySink
 	)
 	if *traceOut != "" || *metricsOut != "" || *obsInterval > 0 || fleetMode ||
 		*httpAddr != "" || *alerts != "" || *postmortemDir != "" {
@@ -149,15 +149,15 @@ func main() {
 			// The sink owns the file: its Close flushes and closes it.
 			traceSink = obs.NewJSONLSink(f)
 		}
-		// The flight recorder sits in front of the (optional) trace file:
-		// it retains the last -flight-depth events in memory so an incident
+		// The flight ring sits in front of the (optional) trace file: it
+		// retains the last -flight-depth events in memory so an incident
 		// bundle has a trace even when -trace was never given.
 		var fwd obs.Sink
 		if traceSink != nil {
 			fwd = traceSink
 		}
 		if *flightDepth > 0 {
-			flightRec = flight.New(*flightDepth, fwd)
+			flightRec = &obs.MemorySink{Cap: *flightDepth, Forward: fwd}
 			observer.Trace = obs.NewTracer(flightRec)
 		} else if fwd != nil {
 			observer.Trace = obs.NewTracer(fwd)

@@ -11,7 +11,6 @@ import (
 	"beamdyn/internal/jobs"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/export"
-	"beamdyn/internal/obs/flight"
 	"beamdyn/internal/obs/runtimecol"
 )
 
@@ -36,7 +35,6 @@ func runServe(args []string) {
 		maxQueued       = fs.Int("max-queued", 16, "per-tenant queued-job quota (0 = unlimited)")
 		checkpointEvery = fs.Int("checkpoint-every", 1, "checkpoint running jobs every N steps (<0 disables periodic checkpoints)")
 		maxResumes      = fs.Int("max-resumes", 3, "checkpoint/resume episodes allowed per job before it fails")
-		flightDepth     = fs.Int("flight-depth", flight.DefaultDepth, "flight recorder depth (0 disables)")
 		traceOut        = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
 		submit          = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
 		oneshot         = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
@@ -55,6 +53,8 @@ func runServe(args []string) {
 		log.Fatal("serve: nothing to do — give -http and/or -submit")
 	}
 
+	// Serve mode has no post-mortem writer, so nothing would read a
+	// flight ring: the tracer runs only when -trace gives it a file.
 	observer := obs.New()
 	var traceSink *obs.JSONLSink
 	if *traceOut != "" {
@@ -63,15 +63,7 @@ func runServe(args []string) {
 			log.Fatal(err)
 		}
 		traceSink = obs.NewJSONLSink(f)
-	}
-	var fwd obs.Sink
-	if traceSink != nil {
-		fwd = traceSink
-	}
-	if *flightDepth > 0 {
-		observer.Trace = obs.NewTracer(flight.New(*flightDepth, fwd))
-	} else if fwd != nil {
-		observer.Trace = obs.NewTracer(fwd)
+		observer.Trace = obs.NewTracer(traceSink)
 	}
 
 	var rtc *runtimecol.Collector

@@ -36,7 +36,7 @@
 //	obstool postmortem bundle-dir
 //	    Triage summary of a post-mortem bundle dumped by beamsim
 //	    -postmortem-dir: the dump reason and trigger alert, the alert
-//	    firing log, and the flight-recorder trace's per-span aggregation.
+//	    firing log, and the flight trace's per-span aggregation.
 //
 // Exit codes: 0 ok, 1 regression detected, 2 usage or input error.
 package main

@@ -5,11 +5,10 @@ import (
 
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
-	"beamdyn/internal/obs/flight"
 )
 
 // benchAdvance measures the full simulation step with the incident layer
-// off (the bare production path) and on (flight recorder + default alert
+// off (the bare production path) and on (flight ring + default alert
 // rules + device counts + physics-invariant gauges). Comparing the two
 // Benchmark lines bounds the alerting overhead; the acceptance budget is
 // < 5% over the bare step (make bench-obs).
@@ -19,7 +18,7 @@ func benchAdvance(b *testing.B, incident bool) {
 	s := New(cfg)
 	if incident {
 		o := obs.New()
-		o.Trace = obs.NewTracer(flight.New(flight.DefaultDepth, nil))
+		o.Trace = obs.NewTracer(&obs.MemorySink{Cap: 4096})
 		s.Obs = o
 		rules, err := alert.ParseRules(alert.DefaultRules)
 		if err != nil {
@@ -47,7 +46,7 @@ func BenchmarkObsAdvanceTraceIDs(b *testing.B) {
 	cfg.Beam.NumParticles = 5000
 	s := New(cfg)
 	o := obs.New()
-	o.Trace = obs.NewTracer(flight.New(flight.DefaultDepth, nil))
+	o.Trace = obs.NewTracer(&obs.MemorySink{Cap: 4096})
 	s.Obs = o.StartTrace(obs.S("job", "bench"), obs.S("tenant", "default"), obs.S("node", "bench-node"))
 	s.Warmup()
 	b.ResetTimer()

@@ -7,7 +7,6 @@ import (
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
-	"beamdyn/internal/obs/flight"
 )
 
 func TestAdvanceEmitsStageSpans(t *testing.T) {
@@ -87,14 +86,14 @@ func TestAdvanceWithoutObserverMatchesObserved(t *testing.T) {
 }
 
 func TestAdvanceWithIncidentLayerBitwiseIdentical(t *testing.T) {
-	// The full incident layer — flight recorder, alert engine over the
+	// The full incident layer — flight ring, alert engine over the
 	// default rules, device counts, physics-invariant gauges — must leave
 	// the simulation output bitwise identical to a bare run.
 	plain := New(testConfig())
 	armed := New(testConfig())
 
 	o := obs.New()
-	rec := flight.New(128, nil)
+	rec := &obs.MemorySink{Cap: 128}
 	o.Trace = obs.NewTracer(rec)
 	armed.Obs = o
 	rules, err := alert.ParseRules(alert.DefaultRules)
@@ -120,12 +119,12 @@ func TestAdvanceWithIncidentLayerBitwiseIdentical(t *testing.T) {
 		}
 	}
 	// The layer actually ran: rules were evaluated every step, the flight
-	// recorder retained spans, and the invariant gauges were published.
+	// ring retained spans, and the invariant gauges were published.
 	if st := armed.Alerts.Status(); st.StepsEvaluated != armed.Step {
 		t.Fatalf("engine evaluated %d steps, want %d", st.StepsEvaluated, armed.Step)
 	}
 	if rec.Total() == 0 {
-		t.Fatal("flight recorder saw no events")
+		t.Fatal("flight ring saw no events")
 	}
 	for _, g := range []string{"beam_total_charge", "beam_charge_drift", "beam_moment_drift"} {
 		found := false

@@ -130,12 +130,17 @@ func TestFleetBandStateIndependentOfPlacement(t *testing.T) {
 	t.Run("predictive/chaos", func(t *testing.T) {
 		const bands, chaosSteps = 8, 3
 		// movingFixture's steps are grid steps 7, 8, 9. Device 0 runs 3x
-		// slow throughout, so the bootstrap step's uniform-cost placement
-		// queues bands 1, 3, 6 on device 2, which dies during its second
-		// band: band 3, at the bunch core. Had that lost attempt trained
-		// the band's kernel, the retry would forecast from the model
-		// instead of the bootstrap partition and the grids would differ.
-		events, err := ParseEvents("slow:dev=0,step=7,factor=3;fail:dev=2,step=7,after=2")
+		// slow, so the bootstrap step's uniform-cost placement queues one
+		// band on it, band 4 at the bunch core, and device 0 dies during
+		// the first band it runs. A worker takes its own queue head before
+		// it steals, and thieves steal only once their own queues (four
+		// and three bands here) are empty, so device 0 runs and loses a
+		// band whatever the interleaving, unless its goroutine never
+		// reaches its queue while the others drain every other band. Had
+		// the lost attempt trained the band's kernel, the retry would
+		// forecast from the model instead of the bootstrap partition and
+		// the grids would differ.
+		events, err := ParseEvents("slow:dev=0,step=7,factor=3;fail:dev=0,step=7,after=1")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,9 +118,6 @@ func (c *cache) syncLRU() {
 	}
 }
 
-// lineOf returns the line address containing addr.
-func (c *cache) lineOf(addr uintptr) uintptr { return addr / c.lineBytes }
-
 // access looks up the line containing addr, fills it on a miss, and
 // reports whether it hit. Fast paths first (see the type comment); then a
 // plain tag scan, with the hit way moved to the front of the set's

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -409,9 +408,4 @@ func (j *Job) checkpointData() ([]byte, int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.checkpoint, j.ckStep
-}
-
-// describe renders the job for logs.
-func (j *Job) describe() string {
-	return fmt.Sprintf("%s %s", j.ID, j.Spec.String())
 }

@@ -223,9 +223,6 @@ func (s *Server) Cancel(id string) (bool, error) {
 	return true, nil
 }
 
-// QueueDepth returns the number of queued jobs.
-func (s *Server) QueueDepth() int { return s.q.depth() }
-
 // expireJob finalises a job whose deadline passed while it waited.
 func (s *Server) expireJob(j *Job) {
 	s.endWait(j)
@@ -508,7 +505,7 @@ func (s *Server) histogram(name string) *obs.Histogram {
 }
 
 // event emits a jobs/* trace event through the job's scoped observer
-// (flight recorder and/or trace file): the scope's baggage supplies the
+// (a trace file when one is configured): the scope's baggage supplies the
 // job/tenant/node attrs, so — unlike the old per-call append — the
 // disabled path allocates nothing.
 func (s *Server) event(j *Job, name string, step int, attrs ...obs.Attr) {

@@ -21,7 +21,7 @@
 //   - Handler — the HTTP/JSON API (POST /jobs, GET /jobs/{id}, SSE events,
 //     result fetch, DELETE) designed to be mounted onto the
 //     internal/obs/export server, with jobs_* metrics and per-job trace
-//     spans flowing into the same observer/flight recorder as everything
+//     spans flowing into the same observer (and trace file) as everything
 //     else.
 package jobs
 

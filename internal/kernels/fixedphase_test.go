@@ -77,7 +77,7 @@ func TestAdaptivePhaseAllocsBounded(t *testing.T) {
 		t.Fatal("coarse fixed pass left no fallback entries")
 	}
 	for _, sortByCost := range []bool{false, true} {
-		run := func() { adaptivePhase(dev, p, points, entries, 64, sortByCost, "alloc-pin") }
+		run := func() { adaptivePhase(dev, p, points, entries, sortByCost, "alloc-pin") }
 		run()
 		run()
 		avg := testing.AllocsPerRun(5, run)

@@ -25,12 +25,6 @@ import (
 // spills into adaptive refinement rounds.
 type Heuristic struct {
 	Dev *gpusim.Device
-	// ThreadsPerBlock is the launch block size (default 256).
-	ThreadsPerBlock int
-	// TileW, TileH are the spatial tile dimensions (default 32x8).
-	TileW, TileH int
-	// PanelsPerSub seeds the first step's partition (default 2).
-	PanelsPerSub int
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
 	HostWorkers int
 
@@ -52,11 +46,18 @@ func (h *Heuristic) SetHostWorkers(n int) { h.HostWorkers = n }
 // SetDevice implements Rebindable.
 func (h *Heuristic) SetDevice(dev *gpusim.Device) { h.Dev = dev }
 
-// NewHeuristic returns the kernel with the configuration of [10]: 32x4
-// spatial tiles (fine enough for SM load balance, wide enough for warp
-// coalescing).
+// The launch configuration of [10]: 32x4 spatial tiles (fine enough for
+// SM load balance, wide enough for warp coalescing) and a first-step
+// partition of two panels per radial subregion.
+const (
+	heuristicTileW, heuristicTileH = 32, 4
+	heuristicPanelsPerSub          = 2
+)
+
+// NewHeuristic returns the kernel with the configuration of [10]. The zero
+// value with Dev set is equivalent.
 func NewHeuristic(dev *gpusim.Device) *Heuristic {
-	return &Heuristic{Dev: dev, ThreadsPerBlock: 256, TileW: 32, TileH: 4, PanelsPerSub: 2}
+	return &Heuristic{Dev: dev}
 }
 
 // Name implements Algorithm.
@@ -90,7 +91,7 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 			if h.prevPat != nil && len(h.prevPat[i]) == p.NumSub() {
 				parts[i] = h.prevPat[i].UniformPartition(p.SubWidth(), points[i].R)
 			} else {
-				parts[i] = uniformCoarsePartition(p, points[i].R, h.PanelsPerSub)
+				parts[i] = uniformCoarsePartition(p, points[i].R, heuristicPanelsPerSub)
 			}
 		}
 	})
@@ -102,8 +103,8 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 
 	spec := fixedPhaseSpec{
 		name:            "heuristic/reuse",
-		blocks:          tileBlocks(target.NX, target.NY, h.TileW, h.TileH),
-		threadsPerBlock: h.TileW * h.TileH,
+		blocks:          tileBlocks(target.NX, target.NY, heuristicTileW, heuristicTileH),
+		threadsPerBlock: heuristicTileW * heuristicTileH,
 		partFor: func(i, _ int) ([]float64, uintptr) {
 			return parts[i], h.partAddrs[i]
 		},
@@ -118,7 +119,7 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = h.obs.Span("heuristic/refine", target.Step)
-	rm, launches := adaptivePhase(h.Dev, p, points, entries, h.ThreadsPerBlock, true, "heuristic/refine")
+	rm, launches := adaptivePhase(h.Dev, p, points, entries, true, "heuristic/refine")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches

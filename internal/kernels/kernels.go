@@ -298,6 +298,10 @@ type adaptiveFrame struct {
 	depth      int
 }
 
+// blockThreads is the block size of every kernel's row-major and
+// refinement launches, and the cap on a Predictive cluster block.
+const blockThreads = 256
+
 // adaptivePhase is RP-ADAPTIVEQUADRATURE: one launch with one thread per
 // work entry, each thread running the full recursive adaptive Simpson
 // algorithm for its interval (depth-first via an explicit stack, as the
@@ -309,7 +313,7 @@ type adaptiveFrame struct {
 // The sortByCost flag enables [10]'s workload-balance heuristic of
 // grouping intervals of similar estimated cost into the same warp.
 // Results accumulate into points (integral, error, partition breakpoints).
-func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entries []workEntry, threadsPerBlock int, sortByCost bool, name string) (gpusim.Metrics, int) {
+func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entries []workEntry, sortByCost bool, name string) (gpusim.Metrics, int) {
 	if len(entries) == 0 {
 		return gpusim.Metrics{}, 0
 	}
@@ -324,7 +328,7 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 	}
 	results := make([]adaptiveResult, len(entries))
 	maxDepth := p.MaxDepth
-	blocks := (len(entries) + threadsPerBlock - 1) / threadsPerBlock
+	blocks := (len(entries) + blockThreads - 1) / blockThreads
 	pool := newIntegrandPool(dev, p)
 	// stackBySM and boundsBySM are each simulated SM's frame stack and
 	// accepted-breakpoint scratch, indexed like the integrand pool: one SM
@@ -336,9 +340,9 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 	m := dev.Run(gpusim.Launch{
 		Name:            name,
 		Blocks:          blocks,
-		ThreadsPerBlock: threadsPerBlock,
+		ThreadsPerBlock: blockThreads,
 		Kernel: func(lane *gpusim.Lane, block, thread int) {
-			idx := block*threadsPerBlock + thread
+			idx := block*blockThreads + thread
 			if idx >= len(entries) {
 				return
 			}

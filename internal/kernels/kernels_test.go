@@ -214,6 +214,40 @@ func TestHeuristicReusesPatterns(t *testing.T) {
 	}
 }
 
+// TestZeroValueKernelsMatchConstructors: a kernel's launch configuration
+// is fixed, so a zero value with only Dev set steps exactly like the
+// constructor's kernel — same potentials, same simulated metrics — over a
+// bootstrap step and a warm one.
+func TestZeroValueKernelsMatchConstructors(t *testing.T) {
+	p, target := fixture(8, 24)
+	pairs := map[string]func() (Algorithm, Algorithm){
+		"predictive": func() (Algorithm, Algorithm) {
+			return NewPredictive(gpusim.New(gpusim.KeplerK40())), &Predictive{Dev: gpusim.New(gpusim.KeplerK40())}
+		},
+		"heuristic": func() (Algorithm, Algorithm) {
+			return NewHeuristic(gpusim.New(gpusim.KeplerK40())), &Heuristic{Dev: gpusim.New(gpusim.KeplerK40())}
+		},
+		"twophase": func() (Algorithm, Algorithm) {
+			return NewTwoPhase(gpusim.New(gpusim.KeplerK40())), &TwoPhase{Dev: gpusim.New(gpusim.KeplerK40())}
+		},
+	}
+	for name, mk := range pairs {
+		ctor, zero := mk()
+		for step := 0; step < 2; step++ {
+			gc, gz := target.Clone(), target.Clone()
+			rc, rz := ctor.Step(p, gc, 0), zero.Step(p, gz, 0)
+			for i := range gc.Data {
+				if gc.Data[i] != gz.Data[i] {
+					t.Fatalf("%s step %d: zero-value potential[%d] = %v, constructor %v", name, step, i, gz.Data[i], gc.Data[i])
+				}
+			}
+			if rc.Metrics != rz.Metrics || rc.FallbackEntries != rz.FallbackEntries {
+				t.Fatalf("%s step %d: zero-value metrics/fallback differ from the constructor's", name, step)
+			}
+		}
+	}
+}
+
 func TestKernelEfficiencyOrdering(t *testing.T) {
 	// The paper's qualitative result: the Predictive kernel has the
 	// highest warp execution efficiency and the Two-Phase kernel pays the

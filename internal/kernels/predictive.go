@@ -129,6 +129,9 @@ const (
 	clusterSample = 4096
 	// kmeansSeed seeds k-means initialisation and cluster sampling.
 	kmeansSeed = 0
+	// bootstrapPanels is every subregion's panel count on the bootstrap
+	// step, before the model is trained.
+	bootstrapPanels = 2
 )
 
 // clusterCount is the RP-CLUSTERING cluster count m = max(NX, NY), as in
@@ -155,10 +158,6 @@ type Predictive struct {
 	// 0 means one warp (32), which keeps the merged partition tight where
 	// patterns vary quickly along a row.
 	SegmentCap int
-	// ThreadsPerBlock bounds the block size (default 256).
-	ThreadsPerBlock int
-	// PanelsPerSub seeds the bootstrap step before the model is trained.
-	PanelsPerSub int
 	// HostWorkers bounds the worker count of the host-side learning
 	// phases (PREDICT, RP-CLUSTERING, ONLINE-LEARNING); <= 0 means
 	// runtime.GOMAXPROCS. Every host loop partitions its index range
@@ -245,12 +244,10 @@ func (pr *Predictive) hostWorkers() int { return hostpar.Workers(pr.HostWorkers)
 // m = max(NX, NY).
 func NewPredictive(dev *gpusim.Device) *Predictive {
 	return &Predictive{
-		Dev:             dev,
-		Pred:            NewKNNPredictor(4),
-		Mode:            UniformPartition,
-		Clustering:      ClusterByPattern,
-		ThreadsPerBlock: 256,
-		PanelsPerSub:    2,
+		Dev:        dev,
+		Pred:       NewKNNPredictor(4),
+		Mode:       UniformPartition,
+		Clustering: ClusterByPattern,
 	}
 }
 
@@ -332,7 +329,7 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 
 	// Lines 18-24: adaptive safety net for panels above tolerance.
 	sp = pr.obs.Span("predictive/fallback", target.Step)
-	rm, launches := adaptivePhase(pr.Dev, p, points, entries, pr.threadsPerBlock(), false, "predictive/adaptive")
+	rm, launches := adaptivePhase(pr.Dev, p, points, entries, false, "predictive/adaptive")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches
@@ -425,7 +422,7 @@ func (pr *Predictive) predictPhase(p *retard.Problem, target *grid.Grid, points 
 				}
 			} else {
 				for j := range pat {
-					pat[j] = float64(pr.PanelsPerSub)
+					pat[j] = bootstrapPanels
 				}
 			}
 			patterns[i] = pat
@@ -513,13 +510,6 @@ func (pr *Predictive) ForecastRowCosts(p *retard.Problem, target *grid.Grid) []f
 	return costs
 }
 
-func (pr *Predictive) threadsPerBlock() int {
-	if pr.ThreadsPerBlock > 0 {
-		return pr.ThreadsPerBlock
-	}
-	return 256
-}
-
 // cluster implements RP-CLUSTERING plus the per-cluster MERGE-LISTS step
 // (lines 6 and 9-12): it returns the thread blocks (point index lists),
 // the merged partition each block walks, and the partition's simulated
@@ -535,17 +525,14 @@ func (pr *Predictive) cluster(p *retard.Problem, target *grid.Grid, points []Poi
 	case ClusterSpatial:
 		groups = tileBlocks(target.NX, target.NY, 32, 8)
 	case ClusterNone:
-		groups = rowMajorBlocks(len(points), pr.threadsPerBlock())
+		groups = rowMajorBlocks(len(points), blockThreads)
 	case ClusterKMeans:
 		groups = pr.patternClusters(target, patterns)
 	default:
 		groups = pr.segmentClusters(target, patterns)
 	}
 
-	maxTPB := pr.Dev.Config().MaxThreadsPerBlock
-	if tp := pr.threadsPerBlock(); tp < maxTPB {
-		maxTPB = tp
-	}
+	maxTPB := min(pr.Dev.Config().MaxThreadsPerBlock, blockThreads)
 	// "Each cluster is assigned to one or more thread blocks."
 	blocks = sc.blocks[:0]
 	for _, g := range groups {

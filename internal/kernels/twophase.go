@@ -21,10 +21,6 @@ import (
 // the inefficiencies [10] and this paper address.
 type TwoPhase struct {
 	Dev *gpusim.Device
-	// ThreadsPerBlock is the launch block size (default 256).
-	ThreadsPerBlock int
-	// PanelsPerSub is the phase-1 panels per radial subregion (default 1).
-	PanelsPerSub int
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
 	HostWorkers int
 
@@ -40,9 +36,14 @@ func (t *TwoPhase) SetHostWorkers(n int) { t.HostWorkers = n }
 // SetDevice implements Rebindable.
 func (t *TwoPhase) SetDevice(dev *gpusim.Device) { t.Dev = dev }
 
-// NewTwoPhase returns the kernel with the launch configuration of [9].
+// twoPhasePanelsPerSub is [9]'s phase-1 partition: one Simpson panel per
+// radial subregion.
+const twoPhasePanelsPerSub = 1
+
+// NewTwoPhase returns the kernel with the launch configuration of [9]. The
+// zero value with Dev set is equivalent.
 func NewTwoPhase(dev *gpusim.Device) *TwoPhase {
-	return &TwoPhase{Dev: dev, ThreadsPerBlock: 256, PanelsPerSub: 1}
+	return &TwoPhase{Dev: dev}
 }
 
 // Name implements Algorithm.
@@ -59,10 +60,10 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 	res := &StepResult{}
 	spec := fixedPhaseSpec{
 		name:            "twophase/uniform",
-		blocks:          rowMajorBlocks(len(points), t.ThreadsPerBlock),
-		threadsPerBlock: t.ThreadsPerBlock,
+		blocks:          rowMajorBlocks(len(points), blockThreads),
+		threadsPerBlock: blockThreads,
 		partFor: func(i, _ int) ([]float64, uintptr) {
-			return uniformCoarsePartition(p, points[i].R, t.PanelsPerSub), 0
+			return uniformCoarsePartition(p, points[i].R, twoPhasePanelsPerSub), 0
 		},
 	}
 	sp := t.obs.Span("twophase/uniform", target.Step)
@@ -114,7 +115,7 @@ type roundResult struct {
 func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []workEntry) (gpusim.Metrics, int) {
 	var total gpusim.Metrics
 	launches := 0
-	tpb := t.ThreadsPerBlock
+	const tpb = blockThreads
 	pool := newIntegrandPool(t.Dev, p)
 	for depth := 0; len(entries) > 0 && depth < p.MaxDepth; depth++ {
 		results := make([]roundResult, len(entries))

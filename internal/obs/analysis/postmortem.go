@@ -12,7 +12,7 @@ import (
 )
 
 // Postmortem is a loaded post-mortem bundle: the manifest, the alert
-// engine's final status and the flight-recorder trace, ready for offline
+// engine's final status and the flight trace, ready for offline
 // triage (the "obstool postmortem" subcommand).
 type Postmortem struct {
 	// Dir is the bundle directory.
@@ -22,7 +22,7 @@ type Postmortem struct {
 	// Alerts is the alert status at dump time (zero when the run had no
 	// alert engine).
 	Alerts alert.Status
-	// Trace holds the flight recorder's retained events (nil when the
+	// Trace holds the flight ring's retained events (nil when the
 	// bundle has no flight member).
 	Trace []obs.Event
 }

@@ -5,7 +5,7 @@
 // session needs without -trace having been on:
 //
 //	manifest.json    what happened (reason, step, trigger alert, inventory)
-//	flight.jsonl     the flight recorder's retained span/event trace
+//	flight.jsonl     the flight ring's retained span/event trace
 //	snapshot.json    the full obs.RunSnapshot (metrics + predictor series)
 //	alerts.json      the alert engine's rule set, log and active alerts
 //	checkpoint.gob   the latest simulation checkpoint (when a saver is wired)
@@ -30,7 +30,6 @@ import (
 
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
-	"beamdyn/internal/obs/flight"
 )
 
 // The bundle member file names.
@@ -75,8 +74,9 @@ type Config struct {
 	Dir string
 	// Obs supplies snapshot.json.
 	Obs *obs.Observer
-	// Flight supplies flight.jsonl.
-	Flight *flight.Recorder
+	// Flight supplies flight.jsonl: the ring sink the run's tracer writes
+	// into.
+	Flight *obs.MemorySink
 	// Alerts supplies alerts.json.
 	Alerts *alert.Engine
 	// Checkpoint, when non-nil, writes the latest simulation checkpoint.

@@ -16,7 +16,6 @@ import (
 	"beamdyn/internal/obs/alert"
 	"beamdyn/internal/obs/analysis"
 	"beamdyn/internal/obs/bundle"
-	"beamdyn/internal/obs/flight"
 	"beamdyn/internal/phys"
 )
 
@@ -63,10 +62,10 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	sim.Algo = fl
 	sim.DeviceCounts = fl.Counts
 
-	// The always-on flight recorder is the only trace sink: no JSONL trace
+	// The always-on flight ring is the only trace sink: no JSONL trace
 	// file is configured, as in a production run without -trace.
 	o := obs.New()
-	rec := flight.New(512, nil)
+	rec := &obs.MemorySink{Cap: 512}
 	o.Trace = obs.NewTracer(rec)
 	sim.Obs = o
 
@@ -125,6 +124,15 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	}
 	if m.Trigger == nil || m.Trigger.Rule != "device_failed" {
 		t.Fatalf("manifest trigger = %+v", m.Trigger)
+	}
+	// The manifest's flight counts describe the ring at dump time: every
+	// retained event reached flight.jsonl, and retained plus dropped is at
+	// most what the ring has seen by now.
+	if m.FlightEvents != len(pm.Trace) || m.FlightEvents > 512 {
+		t.Fatalf("manifest flight_events = %d, flight.jsonl holds %d (ring cap 512)", m.FlightEvents, len(pm.Trace))
+	}
+	if seen := uint64(m.FlightEvents) + m.FlightDropped; seen > rec.Total() {
+		t.Fatalf("manifest accounts for %d events, ring saw only %d", seen, rec.Total())
 	}
 	for _, name := range []string{
 		bundle.FlightFile, bundle.SnapshotFile, bundle.AlertsFile,
@@ -196,7 +204,7 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 func TestWriterCapAndLiveDump(t *testing.T) {
 	dir := t.TempDir()
 	o := obs.New()
-	rec := flight.New(8, nil)
+	rec := &obs.MemorySink{Cap: 8}
 	o.Trace = obs.NewTracer(rec)
 	o.Span("advance", 3).End()
 

@@ -256,20 +256,27 @@ func (s *JSONLSink) Close() error {
 	return s.err
 }
 
-// DefaultMemorySinkCap bounds a zero-value MemorySink: large enough that
-// tests and short live runs never notice, small enough that a -obs-interval
-// view left running for days stops growing.
+// DefaultMemorySinkCap bounds a MemorySink whose Cap is unset: large
+// enough that tests and short runs never notice, small enough that a
+// long-lived sink stops growing.
 const DefaultMemorySinkCap = 65536
 
-// MemorySink collects events in memory, mainly for tests and the
-// -obs-interval live view. It is a ring: once Cap events are held, each new
-// event evicts the oldest (like the flight recorder), so a long-lived sink
-// has bounded memory. The zero value is usable and uses
-// DefaultMemorySinkCap; set Cap before the first Emit to override.
+// MemorySink is the in-memory trace ring: it retains the last Cap events
+// of a run, evicting the oldest once full, so its memory stays bounded
+// however long the run. Tests and perfbench read it back directly; beamsim
+// keeps one in front of its trace file as the flight recorder that a
+// post-mortem bundle drains into flight.jsonl, so an incident ships with
+// the trace that led up to it even when -trace was off.
+//
+// The zero value is usable and uses DefaultMemorySinkCap; set Cap and
+// Forward before the first Emit.
 type MemorySink struct {
 	// Cap is the maximum number of retained events; <= 0 means
 	// DefaultMemorySinkCap. Read on the first Emit.
 	Cap int
+	// Forward, when non-nil, receives every event after the ring has
+	// recorded it (the JSONL trace file when -trace is also on).
+	Forward Sink
 
 	mu    sync.Mutex
 	capN  int
@@ -279,10 +286,11 @@ type MemorySink struct {
 }
 
 // Emit implements Sink. The buffer grows on demand (a short test run never
-// pays for the full cap) up to capN, then wraps.
+// pays for the full cap) up to capN, then wraps. The event is forwarded
+// after the ring lock is released; a forward error is returned to the
+// tracer, but the ring keeps its copy of the event.
 func (s *MemorySink) Emit(e Event) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.capN == 0 {
 		s.capN = s.Cap
 		if s.capN <= 0 {
@@ -296,10 +304,15 @@ func (s *MemorySink) Emit(e Event) error {
 		s.next = (s.next + 1) % s.capN
 	}
 	s.total++
+	s.mu.Unlock()
+	if s.Forward != nil {
+		return s.Forward.Emit(e)
+	}
 	return nil
 }
 
-// Events returns a copy of the retained events, oldest first.
+// Events returns a copy of the retained events, oldest first. Safe to call
+// while a run is still emitting.
 func (s *MemorySink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,4 +328,12 @@ func (s *MemorySink) Total() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
+}
+
+// Dropped returns how many events the ring has evicted: Total minus the
+// retained count.
+func (s *MemorySink) Dropped() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total - uint64(len(s.buf))
 }

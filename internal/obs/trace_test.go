@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -137,6 +138,92 @@ func TestMemorySinkRingEvictsOldestKeepsOrder(t *testing.T) {
 	evs = roomy.Events()
 	if len(evs) != 5 || evs[0].Step != 0 || evs[4].Step != 4 {
 		t.Fatalf("unwrapped sink order wrong: %+v", evs)
+	}
+}
+
+// TestMemorySinkForwardsEveryEventKeepsLastN: a forwarding ring hands
+// every event downstream while retaining only the last Cap, so the trace
+// file is complete and the flight ring stays bounded.
+func TestMemorySinkForwardsEveryEventKeepsLastN(t *testing.T) {
+	var down MemorySink
+	ring := MemorySink{Cap: 2, Forward: &down}
+	for i := 0; i < 5; i++ {
+		if err := ring.Emit(Event{Name: "e", Step: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := down.Events(); len(got) != 5 || got[4].Step != 4 {
+		t.Fatalf("downstream saw %+v, want all 5 events", got)
+	}
+	got := ring.Events()
+	if len(got) != 2 || got[0].Step != 3 || got[1].Step != 4 {
+		t.Fatalf("ring retained %+v, want steps 3 and 4", got)
+	}
+}
+
+// TestMemorySinkForwardErrorKeepsEvent: a broken downstream sink surfaces
+// its error to the tracer, but the ring still holds the event, so telemetry
+// loss downstream cannot cost the incident bundle its copy.
+func TestMemorySinkForwardErrorKeepsEvent(t *testing.T) {
+	want := errors.New("sink broke")
+	ring := MemorySink{Cap: 2, Forward: failingSink{want}}
+	if err := ring.Emit(Event{Name: "e", Step: 7}); !errors.Is(err, want) {
+		t.Fatalf("Emit = %v, want the forward error", err)
+	}
+	if got := ring.Events(); len(got) != 1 || got[0].Step != 7 {
+		t.Fatalf("ring retained %+v after a forward error, want the event", got)
+	}
+}
+
+// TestMemorySinkConcurrentEmitAndDrain drains the ring while four
+// goroutines emit into it (run under -race): no drain may return more
+// than Cap events.
+func TestMemorySinkConcurrentEmitAndDrain(t *testing.T) {
+	const capN = 64
+	ring := MemorySink{Cap: capN}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					ring.Emit(Event{Name: "e", Step: i})
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if got := len(ring.Events()); got > capN {
+			t.Errorf("drain %d returned %d events, cap is %d", i, got, capN)
+		}
+		_ = ring.Dropped()
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestMemorySinkDroppedCountsEvictions: Dropped is Total minus the
+// retained count, zero until the ring wraps.
+func TestMemorySinkDroppedCountsEvictions(t *testing.T) {
+	ring := MemorySink{Cap: 4}
+	for i := 0; i < 10; i++ {
+		ring.Emit(Event{Step: i})
+		want := ring.Total() - uint64(len(ring.Events()))
+		if got := ring.Dropped(); got != want {
+			t.Fatalf("after %d emits Dropped = %d, want Total - retained = %d", i+1, got, want)
+		}
+	}
+	if ring.Dropped() != 6 {
+		t.Fatalf("Dropped = %d after 10 emits into cap 4, want 6", ring.Dropped())
+	}
+	var fresh MemorySink
+	if fresh.Dropped() != 0 || fresh.Total() != 0 {
+		t.Fatal("zero-value sink reports emitted or dropped events")
 	}
 }
 

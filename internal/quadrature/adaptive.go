@@ -5,15 +5,9 @@ import (
 	"math"
 )
 
-// asFrame is one pending interval of the explicit-stack adaptive Simpson.
-type asFrame struct {
-	a, b, tol float64
-	depth     int
-}
-
-// asrFrame is one pending interval of the panel-value-reusing variant: it
-// carries the integrand values at the interval's endpoints and midpoint,
-// which the parent panel has already computed.
+// asrFrame is one pending interval of IntegrateReuse: it carries the
+// integrand values at the interval's endpoints and midpoint, which the
+// parent panel has already computed.
 type asrFrame struct {
 	a, b, tol  float64
 	depth      int
@@ -26,63 +20,29 @@ type asrFrame struct {
 // zero value is ready to use. A workspace is not safe for concurrent use —
 // give each worker its own.
 type AdaptiveWorkspace struct {
-	stack  []asFrame
-	rstack []asrFrame
+	stack []asrFrame
 }
 
-// IntegrateInto integrates f over [a, b] exactly as AdaptiveSimpson does —
-// same estimates, same integrand-evaluation order, same panel partition,
-// bit for bit — but iteratively, the recursion replaced by the workspace's
-// explicit stack (children push right-then-left, so intervals pop in the
-// recursion's depth-first pre-order). Each accepted panel appends its
-// right breakpoint to part (the caller seeds the left endpoint), which is
-// returned alongside the estimate so callers can accumulate a whole
-// multi-subregion partition without intermediate slices.
-func (w *AdaptiveWorkspace) IntegrateInto(f Func, a, b, tol float64, maxDepth int, part []float64) (Estimate, []float64) {
-	if b < a || math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-		panic(fmt.Sprintf("quadrature: invalid interval [%g, %g]", a, b))
-	}
-	var est Estimate
-	if a == b {
-		return est, append(part, b)
-	}
-	stack := append(w.stack[:0], asFrame{a: a, b: b, tol: tol})
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		e := SimpsonRule(f, fr.a, fr.b)
-		est.Evals += e.Evals
-		if e.Err <= fr.tol || fr.depth >= maxDepth {
-			est.I += e.I
-			est.Err += e.Err
-			part = append(part, fr.b)
-			continue
-		}
-		m := 0.5 * (fr.a + fr.b)
-		stack = append(stack,
-			asFrame{a: m, b: fr.b, tol: fr.tol / 2, depth: fr.depth + 1},
-			asFrame{a: fr.a, b: m, tol: fr.tol / 2, depth: fr.depth + 1})
-	}
-	w.stack = stack[:0]
-	return est, part
-}
-
-// IntegrateReuse integrates f over [a, b] with the same adaptive Simpson
-// scheme as IntegrateInto — identical estimates, error sums, reported
-// evaluation counts and panel partition, bit for bit — but reuses panel
-// values across refinement levels: every frame carries the integrand
-// values at its endpoints and midpoint, which its parent panel already
-// computed, so a refined panel costs two new integrand evaluations (its
-// quarter points) instead of five. Each Estimate still reports five Evals
-// per panel, exactly as the non-reusing path counts them, because Evals is
-// the quadrature's nominal evaluation count — the quantity the paper's
-// access-pattern model is built on — not a call tally.
+// IntegrateReuse integrates f over [a, b] exactly as AdaptiveSimpson does
+// — identical estimates, error sums, reported evaluation counts and panel
+// partition, bit for bit — but iteratively, over the workspace's explicit
+// stack, and reusing panel values across refinement levels: every frame
+// carries the integrand values at its endpoints and midpoint, which its
+// parent panel already computed, so a refined panel costs two new
+// integrand evaluations (its quarter points) instead of five. Each
+// Estimate still reports five Evals per panel, exactly as AdaptiveSimpson
+// counts them, because Evals is the quadrature's nominal evaluation count
+// — the quantity the paper's access-pattern model is built on — not a
+// call tally. Each accepted panel appends its right breakpoint to part
+// (the caller seeds the left endpoint), which is returned alongside the
+// estimate so callers can accumulate a whole multi-subregion partition
+// without intermediate slices.
 //
 // The reuse is only sound for a deterministic, side-effect-free integrand:
 // f(x) must return the identical float64 every time it is called with the
-// same x within one integration. Integrands that record simulated-lane
-// loads/flops per call must use IntegrateInto, whose call sequence matches
-// the recursive reference exactly.
+// same x within one integration. It is the host path's integrator
+// (retard.Evaluator); the kernels' simulated lanes record a load and flop
+// trace per call and run their own refinement stack (kernels.adaptivePhase).
 func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth int, part []float64) (Estimate, []float64) {
 	if b < a || math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 		panic(fmt.Sprintf("quadrature: invalid interval [%g, %g]", a, b))
@@ -102,7 +62,7 @@ func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth i
 	// a double push and a pop. The panel visit order — and with it the
 	// evaluation order and the accepted-panel accumulation order — is the
 	// recursion's pre-order exactly as before.
-	stack := w.rstack[:0]
+	stack := w.stack[:0]
 	fr := asrFrame{a: a, b: b, tol: tol, fa: rfa, fm: rfm, fb: rfb}
 	for {
 		// SimpsonRule's arithmetic with (fa, fm, fb) served from the
@@ -129,6 +89,6 @@ func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth i
 		stack = append(stack, asrFrame{a: m, b: fr.b, tol: fr.tol / 2, depth: fr.depth + 1, fa: fr.fm, fm: frm, fb: fr.fb})
 		fr = asrFrame{a: fr.a, b: m, tol: fr.tol / 2, depth: fr.depth + 1, fa: fr.fa, fm: flm, fb: fr.fm}
 	}
-	w.rstack = stack[:0]
+	w.stack = stack[:0]
 	return est, part
 }

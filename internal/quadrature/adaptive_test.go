@@ -12,64 +12,40 @@ func wiggly(x float64) float64 {
 	return 1/(1e-3+x*x) + math.Sin(40*x)
 }
 
-func TestIterativeAdaptiveSimpsonBitwiseIdentical(t *testing.T) {
-	cases := []struct {
-		a, b, tol float64
-		depth     int
-	}{
-		{0, 1, 1e-8, 30},
-		{-0.3, 2.7, 1e-6, 30},
-		{0, 4, 1e-10, 8}, // depth-limited: accepts over-tolerance panels
-		{1, 1, 1e-8, 30}, // empty interval
-	}
-	var ws AdaptiveWorkspace
-	for _, c := range cases {
-		want := AdaptiveSimpson(wiggly, c.a, c.b, c.tol, c.depth)
-		got, part := ws.IntegrateInto(wiggly, c.a, c.b, c.tol, c.depth, []float64{c.a})
-		if got.I != want.I || got.Err != want.Err || got.Evals != want.Evals {
-			t.Fatalf("[%g,%g] tol=%g: iterative (I=%v Err=%v Evals=%d) != recursive (I=%v Err=%v Evals=%d)",
-				c.a, c.b, c.tol, got.I, got.Err, got.Evals, want.I, want.Err, want.Evals)
-		}
-		if len(part) != len(want.Partition) {
-			t.Fatalf("[%g,%g]: partition length %d != %d", c.a, c.b, len(part), len(want.Partition))
-		}
-		for i := range part {
-			if part[i] != want.Partition[i] {
-				t.Fatalf("[%g,%g]: partition[%d] = %v != %v", c.a, c.b, i, part[i], want.Partition[i])
-			}
-		}
-	}
-}
-
+// TestIterativeAdaptiveSimpsonEvaluationOrder pins that IntegrateReuse
+// first probes the integrand at exactly the abscissae the recursion
+// probes, in the same order: it skips the recursion's repeat probes but
+// never reorders a new one, so integrands with state keyed on first-seen
+// radii (the evaluator's radial memo) behave identically.
 func TestIterativeAdaptiveSimpsonEvaluationOrder(t *testing.T) {
-	// The explicit stack must probe the integrand at exactly the same
-	// abscissae in exactly the same order as the recursion — stateful
-	// integrands (the panel evaluator's trig caches and lane accounting)
-	// rely on it.
-	record := func(log *[]float64) Func {
+	firstSeen := func(log *[]float64) Func {
+		seen := map[float64]bool{}
 		return func(x float64) float64 {
-			*log = append(*log, x)
+			if !seen[x] {
+				seen[x] = true
+				*log = append(*log, x)
+			}
 			return wiggly(x)
 		}
 	}
 	var recLog, iterLog []float64
-	AdaptiveSimpson(record(&recLog), 0, 2, 1e-7, 30)
+	AdaptiveSimpson(firstSeen(&recLog), 0, 2, 1e-7, 30)
 	var ws AdaptiveWorkspace
-	ws.IntegrateInto(record(&iterLog), 0, 2, 1e-7, 30, nil)
+	ws.IntegrateReuse(firstSeen(&iterLog), 0, 2, 1e-7, 30, nil)
 	if len(recLog) != len(iterLog) {
-		t.Fatalf("evaluation count %d != %d", len(iterLog), len(recLog))
+		t.Fatalf("distinct abscissae %d != %d", len(iterLog), len(recLog))
 	}
 	for i := range recLog {
 		if recLog[i] != iterLog[i] {
-			t.Fatalf("evaluation %d at %v, recursion at %v", i, iterLog[i], recLog[i])
+			t.Fatalf("new abscissa %d at %v, recursion at %v", i, iterLog[i], recLog[i])
 		}
 	}
 }
 
-// TestIntegrateReuseBitwiseIdentical holds the panel-value-reusing variant
-// to the same standard as the iterative one: identical integral, error,
-// reported evaluation count and partition as the recursive reference, for
-// smooth, oscillatory, depth-limited and empty intervals.
+// TestIntegrateReuseBitwiseIdentical holds the iterative, panel-value-
+// reusing integrator to the recursive reference: identical integral,
+// error, reported evaluation count and partition, for smooth, oscillatory,
+// depth-limited and empty intervals.
 func TestIntegrateReuseBitwiseIdentical(t *testing.T) {
 	cases := []struct {
 		a, b, tol float64
@@ -127,8 +103,8 @@ func TestIntegrateReuseCallsEachAbscissaOnce(t *testing.T) {
 	}
 }
 
-// TestIntegrateReuseReusesStack mirrors the IntegrateInto steady-state
-// zero-allocation contract.
+// TestIntegrateReuseReusesStack pins the steady-state zero-allocation
+// contract: once the stack has grown, an integration allocates nothing.
 func TestIntegrateReuseReusesStack(t *testing.T) {
 	var ws AdaptiveWorkspace
 	part := make([]float64, 0, 4096)
@@ -138,18 +114,6 @@ func TestIntegrateReuseReusesStack(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state IntegrateReuse allocates %.1f objects", allocs)
-	}
-}
-
-func TestIterativeAdaptiveSimpsonReusesStack(t *testing.T) {
-	var ws AdaptiveWorkspace
-	part := make([]float64, 0, 4096)
-	ws.IntegrateInto(wiggly, 0, 1, 1e-8, 30, part[:0]) // grow the stack
-	allocs := testing.AllocsPerRun(50, func() {
-		ws.IntegrateInto(wiggly, 0, 1, 1e-8, 30, part[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state IntegrateInto allocates %.1f objects", allocs)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestTiledSolveMatchesClosureAllKernels(t *testing.T) {
 			src := h.At(7)
 			for _, workers := range []int{1, 2, 3, 4} {
 				tag := fmt.Sprintf("inner=%d wexp=%g workers=%d", inner, wexp, workers)
-				s := GridSolver{Workers: workers, TileW: 8, TileH: 8}
+				s := GridSolver{Workers: workers, tileW: 8, tileH: 8}
 				target, res := solveGrid(p, src, 16, 16, &s)
 				if st := s.LastStats(); !st.Tiled {
 					t.Fatalf("%s: expected the tiled dispatch (got fallback)", tag)
@@ -80,6 +80,23 @@ func TestTiledSolveMatchesClosureAllKernels(t *testing.T) {
 	}
 }
 
+// solvePointwise is the tiled path's reference: one Evaluator solving the
+// target point by point in row-major order, with no tiles and no pool.
+func solvePointwise(p *Problem, src *grid.Grid, nx, ny int) (*grid.Grid, []PointResult) {
+	target := cloneGeometry(src, nx, ny)
+	e := NewEvaluator(p)
+	out := make([]PointResult, 0, nx*ny)
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
+			x, y := target.Point(ix, iy)
+			res := e.SolvePoint(x, y)
+			target.Set(ix, iy, 0, res.I)
+			out = append(out, res)
+		}
+	}
+	return target, out
+}
+
 // TestTiledMatchesPerPointAcrossShapes pins tiled vs per-point A/B
 // equality for a spread of tile shapes (including edge-clamping shapes
 // that do not divide the grid) and worker counts.
@@ -89,13 +106,12 @@ func TestTiledMatchesPerPointAcrossShapes(t *testing.T) {
 	p := NewProblem(h, params)
 	src := h.At(7)
 
-	ref := GridSolver{Workers: 1, PerPoint: true}
-	refGrid, refRes := solveGrid(p, src, 24, 24, &ref)
+	refGrid, refRes := solvePointwise(p, src, 24, 24)
 
 	for _, shape := range [][2]int{{4, 4}, {8, 3}, {5, 7}, {24, 1}, {1, 24}, {32, 16}} {
 		for _, workers := range []int{1, 2, 3, 4} {
 			tag := fmt.Sprintf("tile=%dx%d workers=%d", shape[0], shape[1], workers)
-			s := GridSolver{Workers: workers, TileW: shape[0], TileH: shape[1]}
+			s := GridSolver{Workers: workers, tileW: shape[0], tileH: shape[1]}
 			tg, res := solveGrid(p, src, 24, 24, &s)
 			for i := range refGrid.Data {
 				if tg.Data[i] != refGrid.Data[i] {
@@ -136,7 +152,7 @@ func TestGridSolverCrossoverFallback(t *testing.T) {
 
 	// Same grid forced through tiles small enough to feed every worker
 	// must match the fallback bitwise.
-	tiny := GridSolver{Workers: 4, TileW: 2, TileH: 2}
+	tiny := GridSolver{Workers: 4, tileW: 2, tileH: 2}
 	tinyGrid, _ := solveGrid(p, src, 8, 8, &tiny)
 	if st := tiny.LastStats(); !st.Tiled {
 		t.Fatal("2x2 tiles on an 8x8 grid should dispatch tiled")
@@ -163,7 +179,7 @@ func TestGridSolverObsCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	workers := 2
-	s := GridSolver{Workers: workers, TileW: 8, TileH: 8, Obs: reg}
+	s := GridSolver{Workers: workers, tileW: 8, tileH: 8, Obs: reg}
 	target := cloneGeometry(src, 24, 24)
 	s.Solve(p, target, 0)
 
